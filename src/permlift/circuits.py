@@ -25,7 +25,6 @@ from .qsim import (
     RegisterSwap,
     StateVector,
     Unitary,
-    apply_cipher_oracle,
     apply_combined_oracle,
     apply_oracle,
     dense_matrix,
@@ -81,17 +80,12 @@ class NormalFormCircuit:
         return (self.key, self.query)
 
 
-def _apply_slot(state: StateVector, circuit: NormalFormCircuit, oracle, tag: str) -> StateVector:
-    if circuit.key is None:
-        return apply_oracle(state, oracle, tag, circuit.query, circuit.response)
-    return apply_cipher_oracle(state, oracle, tag, circuit.key, circuit.query, circuit.response)
-
-
 def run_circuit(circuit: NormalFormCircuit, oracle) -> StateVector:
     """Evolve |0...0> through the circuit with one fixed oracle in every slot."""
     state = circuit.unitaries[0].apply(zero_state(circuit.regs))
     for i, tag in enumerate(circuit.slot_tags):
-        state = _apply_slot(state, circuit, oracle, tag)
+        state = apply_oracle(state, oracle, tag, circuit.query, circuit.response,
+                             key=circuit.key)
         state = circuit.unitaries[i + 1].apply(state)
     return state
 
@@ -106,7 +100,8 @@ def run_with_insertions(circuit: NormalFormCircuit, oracles: Sequence,
     for i, tag in enumerate(circuit.slot_tags):
         if projections[i] is not None:
             state = projections[i].apply(state)
-        state = _apply_slot(state, circuit, oracles[i], tag)
+        state = apply_oracle(state, oracles[i], tag, circuit.query, circuit.response,
+                             key=circuit.key)
         state = circuit.unitaries[i + 1].apply(state)
     return state
 

@@ -97,11 +97,6 @@ def cmd_verify_algebra(config: ExperimentConfig) -> tuple[dict, int]:
     started = time.time()
     results = []
     for n in config.n:
-        if n > 6:
-            raise CapabilityError(
-                f"exhaustive law suites stop at n <= 6 (got n={n}); "
-                "the bad-probability bound is checked statistically beyond that"
-            )
         results.append(algebra_checks.check_inverse_law(n, config.k).to_dict())
         if n <= 5:
             # the pointwise suites enumerate pairs of permutations
@@ -155,6 +150,11 @@ def cmd_verify_lifting(config: ExperimentConfig) -> tuple[dict, int]:
     started = time.time()
     results = []
     n = config.n[0]
+    if config.mode != "exhaustive" and config.kind != "quantum":
+        raise DomainError(
+            f"verify-lifting --kind {config.kind} has no --mode {config.mode}; "
+            "only --kind quantum runs monte-carlo"
+        )
     rel = get_game(config.game, n)
     if config.kind == "classical":
         config.require_enumerable(permutation_count(n) ** 2 * (2 * config.q + 1))
@@ -270,6 +270,8 @@ def cmd_bound_table(config: ExperimentConfig) -> tuple[dict, int]:
 
 def cmd_trace(config: ExperimentConfig) -> tuple[dict, int]:
     started = time.time()
+    if config.kind not in ("classical", "quantum"):
+        raise DomainError(f"trace has no --kind {config.kind}; use classical or quantum")
     n = config.n[0]
     rng = np.random.default_rng(config.seed)
     base = Permutation.random(n, rng)

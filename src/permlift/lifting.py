@@ -18,14 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .circuits import run_circuit
 from .games import Relation
 from .perms import Permutation, all_permutations, permutation_count
+from .qsim import sample_measurement
 from .simulators import (
     ClassicalAdversary,
     QuantumAdversary,
+    build_lifted_adversary,
     run_classical_sim,
     run_quantum_sim,
-    sample_sim_choice,
     sim_choice_space,
 )
 
@@ -119,8 +121,6 @@ def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> 
 
 
 def quantum_adversary_win_exact(adv: QuantumAdversary, rel: Relation) -> float:
-    from .circuits import run_circuit
-
     n = rel.n
     total = 0.0
     for target in all_permutations(n):
@@ -163,9 +163,8 @@ def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> Lift
 
 def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
                              seed: int, k: int = 1) -> LiftReport:
-    from .circuits import run_circuit
-    from .qsim import sample_measurement
-
+    """Seeded estimate of both sides; the lifted side runs the object that
+    build_lifted_adversary returns, whose k-query budget every run checks."""
     n = rel.n
     rng_a, rng_b = np.random.default_rng(seed).spawn(2)
     wins_a = 0
@@ -178,12 +177,11 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
         kx = len(adv.x_regs)
         if _win(rel, target, tuple(outcome[:kx]), tuple(outcome[kx:])):
             wins_a += 1
+    lifted = build_lifted_adversary(adv, k)
     wins_b = 0
     for _ in range(trials):
         target = Permutation.random(n, rng_b)
-        base = Permutation.random(n, rng_b)
-        choice = sample_sim_choice(adv.circuit.num_slots, k, True, rng_b)
-        xs, z = run_quantum_sim(adv, base, target, choice, mode="sample", rng=rng_b)
+        xs, z = lifted.run(target, rng_b)
         if _win(rel, target, xs, z):
             wins_b += 1
     p_a = wins_a / trials
@@ -231,8 +229,6 @@ def classical_mr_check(adv: ClassicalAdversary, rel: Relation, base: Permutation
 def quantum_mr_check(adv: QuantumAdversary, rel: Relation, base: Permutation,
                      target: Permutation, xs: Sequence[int]):
     """Quantum analogue of classical_mr_check, with exact branch weights."""
-    from .circuits import run_circuit
-
     xs = tuple(xs)
     ys = tuple(target.forward(x) for x in xs)
     k = len(xs)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .ciphers import Cipher
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .perms import Permutation
 
 STATE_TOL = 1e-10
@@ -132,43 +132,46 @@ def _require_xor_compatible(nq: int, nr: int, n: int) -> None:
         )
 
 
-def apply_oracle(state: StateVector, perm: Permutation, direction: str = "forward",
-                 query: str = "q", response: str = "r") -> StateVector:
-    """|x>|y> -> |x>|y ^ perm(x)> (forward) or with the inverse table (backward)."""
-    if direction not in ("forward", "backward"):
-        raise DomainError(f"unknown oracle direction {direction!r}")
-    regs = state.regs
-    aq, ar = regs.axis(query), regs.axis(response)
-    _require_xor_compatible(regs.dims[aq], regs.dims[ar], perm.n)
-    table = perm.fwd if direction == "forward" else perm.inv
-    n = perm.n
-    moved = np.moveaxis(state.amps, (aq, ar), (0, 1))
-    xs = np.arange(n)[:, None]
-    ys = np.arange(n)[None, :] ^ np.asarray(table)[:, None]
-    out = moved[xs, ys]
-    return StateVector(regs, np.moveaxis(out, (0, 1), (aq, ar)))
+def require_oracle_key(oracle, key: Optional[str]) -> None:
+    """A Cipher is queried through a key register and a Permutation without one."""
+    if isinstance(oracle, Cipher) != (key is not None):
+        have = "no key register" if key is None else f"key register {key!r}"
+        raise PreconditionError(
+            f"a circuit with {have} cannot query a {type(oracle).__name__} oracle: "
+            "a Cipher needs a key register and a Permutation takes none"
+        )
 
 
-def apply_cipher_oracle(state: StateVector, cipher: Cipher, direction: str = "forward",
-                        key: str = "K", query: str = "q", response: str = "r") -> StateVector:
-    """|K>|x>|y> -> |K>|x>|y ^ E_K(x)> and the backward analogue."""
+def apply_oracle(state: StateVector, oracle, direction: str = "forward",
+                 query: str = "q", response: str = "r",
+                 key: Optional[str] = None) -> StateVector:
+    """|x>|y> -> |x>|y ^ pi(x)> for a Permutation; |K>|x>|y> -> |K>|x>|y ^ E_K(x)>
+    for a Cipher through the ``key`` register.  backward uses inverse tables.
+
+    A permutation is the one-key cipher without a key register: both gather
+    from one table stack with a row per (key, query) value."""
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown oracle direction {direction!r}")
+    require_oracle_key(oracle, key)
     regs = state.regs
-    ak, aq, ar = regs.axis(key), regs.axis(query), regs.axis(response)
-    if regs.dims[ak] != cipher.key_count:
-        raise DomainError("key register dimension must match the cipher key count")
-    _require_xor_compatible(regs.dims[aq], regs.dims[ar], cipher.n)
-    n = cipher.n
-    tables = np.array(
-        [p.fwd if direction == "forward" else p.inv for p in cipher.perms]
-    )
-    moved = np.moveaxis(state.amps, (ak, aq, ar), (0, 1, 2))
-    ks = np.arange(cipher.key_count)[:, None, None]
-    xs = np.arange(n)[None, :, None]
-    ys = np.arange(n)[None, None, :] ^ tables[:, :, None]
-    out = moved[ks, xs, ys]
-    return StateVector(regs, np.moveaxis(out, (0, 1, 2), (ak, aq, ar)))
+    axes = (regs.axis(query), regs.axis(response))
+    if key is None:
+        tables = np.asarray(oracle.fwd if direction == "forward" else oracle.inv)
+    else:
+        axes = (regs.axis(key),) + axes
+        if regs.dims[axes[0]] != oracle.key_count:
+            raise DomainError("key register dimension must match the cipher key count")
+        tables = np.array([p.fwd if direction == "forward" else p.inv for p in oracle.perms])
+    n = oracle.n
+    _require_xor_compatible(regs.dims[axes[-2]], regs.dims[axes[-1]], n)
+    order = axes + tuple(a for a in range(len(regs.dims)) if a not in axes)
+    moved = state.amps.transpose(order)
+    rows = moved.reshape((-1, n) + moved.shape[len(axes):])
+    ys = np.arange(n) ^ tables.reshape(-1, 1)
+    out = np.empty_like(state.amps)
+    # written through the same transposed view, so out keeps the register order
+    out.transpose(order)[...] = rows[np.arange(len(ys))[:, None], ys].reshape(moved.shape)
+    return StateVector(regs, out)
 
 
 def apply_combined_oracle(state: StateVector, perm: Permutation, direction: str = "b",

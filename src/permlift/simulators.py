@@ -5,21 +5,27 @@ at an internal permutation (or cipher) and gets reprogrammed at guessed query
 slots with values pulled from an external oracle.  The classical simulator
 reprograms before answering; the quantum one measures the guessed slots and
 additionally guesses whether to reprogram before or after answering.
+
+A permutation is the one-key cipher without a key: a query point is ``(x,)``
+for a permutation and ``(key, x)`` for a cipher, and an edit is ``(x, y)`` or
+``(key, x, y)``.  The key passes unchanged through every edit, so one
+simulator serves both oracle types.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ciphers import Cipher
 from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit, run_with_insertions
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import Permutation, hit_miss_queries, is_good_pair
-from .qsim import StateVector, measure_distribution, measurement_branches, sample_measurement, zero_state
+from .qsim import (StateVector, apply_oracle, measure_distribution, measurement_branches,
+                   require_oracle_key, sample_measurement, zero_state)
 
 HIT = 0
 MISS = 1
@@ -121,23 +127,24 @@ def sample_sim_choice(num_slots: int, k: int, with_timing: bool, rng) -> SimChoi
 
 
 class StatefulOracle:
-    """A permutation oracle whose table is edited as the simulation proceeds.
+    """A permutation or cipher oracle whose table is edited as the simulation
+    proceeds.
 
-    The log replays from the starting table to the current one; trigger tests
-    and the trace output read it.
+    The log of edits replays from the starting table to the current one;
+    trigger tests and the trace output read it.
     """
 
-    def __init__(self, base: Permutation):
+    def __init__(self, base):
         self.base = base
         self.current = base
-        self.log: list[tuple[int, int]] = []
+        self.log: list[tuple[int, ...]] = []
 
-    def reprogram(self, x: int, y: int) -> None:
-        self.current = self.current.reprogram(x, y)
-        self.log.append((x, y))
+    def reprogram(self, *edit: int) -> None:
+        self.current = self.current.reprogram(*edit)
+        self.log.append(edit)
 
-    def replay(self) -> Permutation:
-        return self.base.reprogram_seq(self.log)
+    def replay(self):
+        return functools.reduce(lambda oracle, edit: oracle.reprogram(*edit), self.log, self.base)
 
 
 class ClassicalAdversary:
@@ -145,7 +152,8 @@ class ClassicalAdversary:
 
     Subclasses set ``budget`` (max oracle calls) and ``domain`` and implement
     run(oracle, rng) returning (xs, z) with xs a tuple of domain elements and
-    z an arbitrary tuple.
+    z an arbitrary tuple.  A permutation oracle is queried as forward(x), a
+    cipher oracle as forward(key, x).
     """
 
     budget: int = 0
@@ -156,22 +164,36 @@ class ClassicalAdversary:
         raise NotImplementedError
 
 
-def _reprogram_pair(tag: str, miss: int, value: int, base: Permutation, target):
-    """The pair (x, y) written into the oracle for one guessed query.
+def _reprogram_edit(tag: str, miss: int, point: tuple, base, target) -> tuple:
+    """The edit written into the oracle for one guessed query at ``point``.
 
-    hit/forward and hit/miss read the external target directly at the query
-    value; the miss cases route the query value through the internal base
-    table first, then through the target's opposite direction.
+    Returns (x, y) for a permutation and (key, x, y) for a cipher, whose key
+    stays the queried one.  hit/forward and hit/backward read the external
+    target directly at the query value; the miss cases route the query value
+    through the internal base table first, then through the target's
+    opposite direction.
     """
+    key = point[:-1]
     if tag == FORWARD:
         if miss == HIT:
-            return value, target.forward(value)
-        out = base.forward(value)
-        return target.backward(out), out
+            return point + (target.forward(*point),)
+        out = base.forward(*point)
+        return key + (target.backward(*key, out), out)
     if miss == HIT:
-        return target.backward(value), value
-    pre = base.backward(value)
-    return pre, target.forward(pre)
+        return key + (target.backward(*point), point[-1])
+    pre = base.backward(*point)
+    return key + (pre, target.forward(*key, pre))
+
+
+def _trace_entry(slot: int, tag: str, point: Optional[tuple], edit: Optional[tuple],
+                 when: Optional[str]) -> dict:
+    """One trace record; a permutation query is recorded as its value, a
+    cipher query as [key, value], and an unguessed slot records neither."""
+    entry = {"slot": slot, "direction": tag, "measured": None, "reprogram": None, "when": None}
+    if edit is not None:
+        entry.update(measured=point[0] if len(point) == 1 else list(point),
+                     reprogram=list(edit), when=when)
+    return entry
 
 
 class _InterceptingOracle:
@@ -180,11 +202,11 @@ class _InterceptingOracle:
     def __init__(self, sim_state):
         self._s = sim_state
 
-    def forward(self, x: int) -> int:
-        return self._s.answer(FORWARD, x)
+    def forward(self, *point: int) -> int:
+        return self._s.answer(FORWARD, point)
 
-    def backward(self, y: int) -> int:
-        return self._s.answer(BACKWARD, y)
+    def backward(self, *point: int) -> int:
+        return self._s.answer(BACKWARD, point)
 
 
 class _ClassicalSimState:
@@ -198,30 +220,26 @@ class _ClassicalSimState:
         self.trace = trace
         self.count = 0
 
-    def answer(self, tag: str, value: int) -> int:
+    def answer(self, tag: str, point: tuple) -> int:
         self.count += 1
         if self.count > self.budget:
             raise ProtocolError(f"adversary exceeded its budget of {self.budget} queries")
-        entry = {"slot": self.count, "direction": tag, "measured": None,
-                 "reprogram": None, "when": None}
         j = self.slot_map.get(self.count)
+        edit = None
         if j is not None:
-            pair = _reprogram_pair(tag, self.miss_flags[j], value, self.base, self.target)
-            self.oracle.reprogram(*pair)
-            entry["measured"] = value
-            entry["reprogram"] = list(pair)
-            entry["when"] = "before"
-        perm = self.oracle.current
-        out = perm.forward(value) if tag == FORWARD else perm.backward(value)
+            edit = _reprogram_edit(tag, self.miss_flags[j], point, self.base, self.target)
+            self.oracle.reprogram(*edit)
         if self.trace is not None:
-            self.trace.append(entry)
-        return out
+            self.trace.append(_trace_entry(self.count, tag, point, edit, "before"))
+        oracle = self.oracle.current
+        return oracle.forward(*point) if tag == FORWARD else oracle.backward(*point)
 
 
-def run_classical_sim(adv: ClassicalAdversary, base: Permutation, target,
+def run_classical_sim(adv: ClassicalAdversary, base, target,
                       choice: Optional[SimChoice] = None, rng=None,
                       trace: Optional[list] = None):
-    """Run the classical measure-and-reprogram experiment; returns (xs, z)."""
+    """Run the classical measure-and-reprogram experiment against a
+    permutation or cipher oracle; returns (xs, z)."""
     if choice is None:
         if rng is None:
             raise DomainError("need either an explicit choice or an rng")
@@ -274,45 +292,36 @@ class QuantumAdversary:
         return out
 
 
-def _oracle_reprogram(current, pair):
-    return current.reprogram(*pair)
-
-
-def _pair_for_slot(circuit: NormalFormCircuit, tag: str, miss: int, value,
-                   base, target):
-    if circuit.key is None:
-        return _reprogram_pair(tag, miss, value, base, target)
-    return _cipher_reprogram_triple(tag, miss, value, base, target)
-
-
-def _cipher_reprogram_triple(tag: str, miss: int, value, base: Cipher, target):
-    key, w = value
-    if tag == FORWARD:
-        if miss == HIT:
-            return key, w, target.forward(key, w)
-        out = base.forward(key, w)
-        return key, target.backward(key, out), out
-    if miss == HIT:
-        return key, target.backward(key, w), w
-    pre = base.backward(key, w)
-    return key, pre, target.forward(key, pre)
-
-
 def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                     mode: str = "exact", rng=None, trace: Optional[list] = None):
     """Quantum measure-and-reprogram experiment.
 
-    exact mode branches over every measurement outcome and returns the full
-    distribution over ((xs), (z)); sample mode draws one trajectory, filling
-    `trace` if given, and returns one (xs, z).
+    A circuit with a key register runs against a cipher and measures the
+    (key, query) register pair jointly at a guessed slot; one without runs
+    against a permutation.  exact mode branches over every measurement
+    outcome and returns the full distribution over ((xs), (z)); sample mode
+    draws one trajectory, filling `trace` if given, and returns one (xs, z).
     """
     circuit = adv.circuit
     if any(s is not None and s > circuit.num_slots for s in choice.slots):
         raise PreconditionError("choice references slots beyond the circuit")
     if choice.after_flags is None:
         raise PreconditionError("the quantum simulator needs timing flags")
+    require_oracle_key(base, circuit.key)
     measured_regs = circuit.query_registers()
     slot_map = choice.slot_map()
+
+    def query(state, oracle, tag):
+        return apply_oracle(state, oracle, tag, circuit.query, circuit.response,
+                            key=circuit.key)
+
+    def answer_guess(state, current, tag, j, point):
+        """Edit the oracle at a guessed slot and answer before or after the
+        edit; returns (answered state, edited oracle, edit)."""
+        edit = _reprogram_edit(tag, choice.miss_flags[j], point, base, target)
+        updated = current.reprogram(*edit)
+        answerer = current if choice.after_flags[j] else updated
+        return query(state, answerer, tag), updated, edit
 
     if mode == "exact":
         dist: dict = {}
@@ -325,15 +334,12 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
             tag = circuit.slot_tags[i - 1]
             j = slot_map.get(i)
             if j is None:
-                nxt = _apply(state, circuit, current, tag)
-                walk(circuit.unitaries[i].apply(nxt), current, i + 1)
+                walk(circuit.unitaries[i].apply(query(state, current, tag)), current, i + 1)
                 return
             for value, sub in measurement_branches(state, measured_regs):
-                pair = _pair_for_slot(circuit, tag, choice.miss_flags[j], value, base, target)
-                updated = _oracle_reprogram(current, pair)
-                answerer = current if choice.after_flags[j] else updated
-                nxt = _apply(sub, circuit, answerer, tag)
-                walk(circuit.unitaries[i].apply(nxt), updated, i + 1)
+                point = (value,) if circuit.key is None else value
+                answered, updated, _ = answer_guess(sub, current, tag, j, point)
+                walk(circuit.unitaries[i].apply(answered), updated, i + 1)
 
         walk(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, 1)
         return dist
@@ -347,22 +353,16 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     for i in range(1, circuit.num_slots + 1):
         tag = circuit.slot_tags[i - 1]
         j = slot_map.get(i)
-        entry = {"slot": i, "direction": tag, "measured": None,
-                 "reprogram": None, "when": None}
+        point = edit = when = None
         if j is None:
-            state = _apply(state, circuit, current, tag)
+            state = query(state, current, tag)
         else:
             value, state = sample_measurement(state, measured_regs, rng)
-            pair = _pair_for_slot(circuit, tag, choice.miss_flags[j], value, base, target)
-            updated = _oracle_reprogram(current, pair)
-            answerer = current if choice.after_flags[j] else updated
-            state = _apply(state, circuit, answerer, tag)
-            current = updated
-            entry["measured"] = list(value) if isinstance(value, tuple) else value
-            entry["reprogram"] = list(pair)
-            entry["when"] = "after" if choice.after_flags[j] else "before"
+            point = (value,) if circuit.key is None else value
+            state, current, edit = answer_guess(state, current, tag, j, point)
+            when = "after" if choice.after_flags[j] else "before"
         if trace is not None:
-            trace.append(entry)
+            trace.append(_trace_entry(i, tag, point, edit, when))
         state = circuit.unitaries[i].apply(state)
     names = adv.x_regs + adv.z_regs
     outcome, _ = sample_measurement(state, names, rng)
@@ -370,11 +370,6 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
         outcome = (outcome,)
     kx = len(adv.x_regs)
     return tuple(outcome[:kx]), tuple(outcome[kx:])
-
-
-def _apply(state, circuit, oracle, tag):
-    from .circuits import _apply_slot
-    return _apply_slot(state, circuit, oracle, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -503,80 +498,3 @@ def build_lifted_adversary(adv, k: int) -> LiftedAdversary:
     else:
         domain = adv.domain
     return LiftedAdversary(adv, k, domain)
-
-
-# ---------------------------------------------------------------------------
-# Cipher simulators
-
-
-class ClassicalCipherAdversary(ClassicalAdversary):
-    """Classical adversary whose oracle takes (key, value) queries."""
-
-    key_count: int = 1
-
-
-class _CipherSimState:
-    def __init__(self, base, target, choice, budget, trace):
-        self.base = base
-        self.target = target
-        self.current = base
-        self.log: list[tuple[int, int, int]] = []
-        self.slot_map = choice.slot_map()
-        self.miss_flags = choice.miss_flags
-        self.budget = budget
-        self.trace = trace
-        self.count = 0
-
-    def answer(self, tag: str, key: int, value: int) -> int:
-        self.count += 1
-        if self.count > self.budget:
-            raise ProtocolError(f"adversary exceeded its budget of {self.budget} queries")
-        entry = {"slot": self.count, "direction": tag, "measured": None,
-                 "reprogram": None, "when": None}
-        j = self.slot_map.get(self.count)
-        if j is not None:
-            triple = _cipher_reprogram_triple(tag, self.miss_flags[j], (key, value),
-                                              self.base, self.target)
-            self.current = self.current.reprogram(*triple)
-            self.log.append(triple)
-            entry["measured"] = [key, value]
-            entry["reprogram"] = list(triple)
-            entry["when"] = "before"
-        out = (self.current.forward(key, value) if tag == FORWARD
-               else self.current.backward(key, value))
-        if self.trace is not None:
-            self.trace.append(entry)
-        return out
-
-
-class _InterceptingCipherOracle:
-    def __init__(self, state):
-        self._s = state
-
-    def forward(self, key, x):
-        return self._s.answer(FORWARD, key, x)
-
-    def backward(self, key, y):
-        return self._s.answer(BACKWARD, key, y)
-
-
-def run_classical_cipher_sim(adv: ClassicalCipherAdversary, base: Cipher, target,
-                             choice: Optional[SimChoice] = None, rng=None,
-                             trace: Optional[list] = None):
-    if choice is None:
-        if rng is None:
-            raise DomainError("need either an explicit choice or an rng")
-        choice = sample_sim_choice(adv.budget, 1, with_timing=False, rng=rng)
-    if choice.after_flags is not None:
-        raise PreconditionError("the classical simulator carries no timing flags")
-    state = _CipherSimState(base, target, choice, adv.budget, trace)
-    return adv.run(_InterceptingCipherOracle(state), rng)
-
-
-def run_quantum_cipher_sim(adv: QuantumAdversary, base: Cipher, target,
-                           choice: SimChoice, mode: str = "exact", rng=None,
-                           trace: Optional[list] = None):
-    """Cipher variant; the full (key, query) register pair is measured jointly."""
-    if adv.circuit.key is None:
-        raise PreconditionError("circuit has no key register")
-    return run_quantum_sim(adv, base, target, choice, mode=mode, rng=rng, trace=trace)

@@ -69,9 +69,7 @@ from permlift.simulators import (
     SimChoice,
     decompose_state,
     decomposition_residual,
-    run_classical_cipher_sim,
     run_classical_sim,
-    run_quantum_cipher_sim,
     run_quantum_sim,
     sim_choice_space,
 )
@@ -263,10 +261,10 @@ def test_c07_interactive_lifting():
 def test_c08_cipher_degeneration():
     started = time.time()
     from permlift.circuits import FORWARD, CircuitBuilder
-    from permlift.simulators import ClassicalCipherAdversary, QuantumAdversary
+    from permlift.simulators import ClassicalAdversary, QuantumAdversary
     from permlift.battery import ValueReporter
 
-    class CipherReporter(ClassicalCipherAdversary):
+    class CipherReporter(ClassicalAdversary):
         budget = 1
         domain = 4
         name = "cipher-reporter"
@@ -295,8 +293,8 @@ def test_c08_cipher_degeneration():
                 tr_p, tr_c = [], []
                 out_p = run_classical_sim(ValueReporter(4, x=2), base_perm,
                                           target_perm, choice, trace=tr_p)
-                out_c = run_classical_cipher_sim(CipherReporter(), base_ciph,
-                                                 target_ciph, choice, trace=tr_c)
+                out_c = run_classical_sim(CipherReporter(), base_ciph,
+                                          target_ciph, choice, trace=tr_c)
                 same_trace = all(
                     (p["slot"], p["direction"], p["measured"], p["when"]) ==
                     (c["slot"], c["direction"],
@@ -312,8 +310,8 @@ def test_c08_cipher_degeneration():
                 checked += 1
                 d_p = run_quantum_sim(qadv_perm, base_perm, target_perm,
                                       choice, mode="exact")
-                d_c = run_quantum_cipher_sim(qadv_ciph, base_ciph, target_ciph,
-                                             choice, mode="exact")
+                d_c = run_quantum_sim(qadv_ciph, base_ciph, target_ciph,
+                                      choice, mode="exact")
                 if set(d_p) != set(d_c) or any(
                         abs(d_p[k] - d_c[k]) > 1e-12 for k in d_p):
                     mismatches += 1

@@ -37,6 +37,11 @@ def test_verify_algebra_capability_error():
     assert run_cli(["verify-algebra", "--n", "11"]) == EXIT_CONFIG
 
 
+def test_verify_algebra_runs_up_to_the_algebra_ceiling():
+    assert algebra_checks.ALGEBRA_CEILING == 7
+    assert run_cli(["verify-algebra", "--n", "7", "--k", "1"]) == EXIT_OK
+
+
 def test_forced_bug_exits_one(tmp_path, monkeypatch):
     import numpy as np
 
@@ -59,6 +64,20 @@ def test_verify_lifting_classical(tmp_path):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert all(r["holds"] for r in report["results"])
+
+
+@pytest.mark.parametrize("kind", ["classical", "interactive"])
+def test_verify_lifting_rejects_monte_carlo_for_exact_only_kinds(kind, capsys):
+    code = run_cli(["verify-lifting", "--kind", kind, "--mode", "monte-carlo",
+                    "--trials", "10", "--n", "4"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--kind {kind}" in err and "--mode monte-carlo" in err
+
+
+def test_trace_rejects_interactive_kind(capsys):
+    assert run_cli(["trace", "--kind", "interactive", "--n", "4", "--seed", "7"]) == EXIT_CONFIG
+    assert "--kind interactive" in capsys.readouterr().err
 
 
 def test_verify_lifting_unknown_game():

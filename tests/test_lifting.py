@@ -129,3 +129,21 @@ def test_quantum_mr_reprogrammed_run_wins_reporter():
     lhs, rhs = quantum_mr_check(adv, rel, base, target, (1,))
     assert rhs == pytest.approx(1.0)
     assert lhs >= 1 / 81
+
+
+def test_quantum_monte_carlo_enforces_the_lifted_budget(monkeypatch):
+    # an edit that consults the external oracle twice makes the lifted
+    # algorithm spend 2 queries at k=1; the MC driver must refuse the run
+    from permlift import simulators
+    from permlift.errors import ProtocolError
+
+    real = simulators._reprogram_edit
+
+    def greedy(tag, miss, point, base, target):
+        target.forward(*point)
+        return real(tag, miss, point, base, target)
+
+    monkeypatch.setattr(simulators, "_reprogram_edit", greedy)
+    with pytest.raises(ProtocolError, match="external budget"):
+        quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
+                                 trials=200, seed=3)

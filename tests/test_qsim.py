@@ -10,7 +10,6 @@ from permlift.perms import Permutation, all_permutations
 from permlift.qsim import (
     Registers,
     StateVector,
-    apply_cipher_oracle,
     apply_combined_oracle,
     apply_oracle,
     basis_state,
@@ -112,11 +111,11 @@ def test_cipher_oracle_matches_per_key_tables():
     E = Cipher.random(2, 4, rng)
     for key in range(2):
         for x in range(4):
-            out = apply_cipher_oracle(basis_state(r, {"K": key, "q": x, "r": 0}), E)
+            out = apply_oracle(basis_state(r, {"K": key, "q": x, "r": 0}), E, key="K")
             assert out.distance(
                 basis_state(r, {"K": key, "q": x, "r": E.forward(key, x)})) < 1e-12
-            back = apply_cipher_oracle(
-                basis_state(r, {"K": key, "q": x, "r": 0}), E, "backward")
+            back = apply_oracle(
+                basis_state(r, {"K": key, "q": x, "r": 0}), E, "backward", key="K")
             assert back.distance(
                 basis_state(r, {"K": key, "q": x, "r": E.backward(key, x)})) < 1e-12
 

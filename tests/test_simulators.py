@@ -18,18 +18,18 @@ from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, run_circuit
 from permlift.ciphers import Cipher
 from permlift.errors import DomainError, PreconditionError, ProtocolError
 from permlift.perms import Permutation, all_permutations, hit_miss_queries, is_good_pair
+from permlift import simulators
 from permlift.qsim import measure_distribution
 from permlift.simulators import (
+    HIT,
+    MISS,
     ClassicalAdversary,
-    ClassicalCipherAdversary,
     QuantumAdversary,
     SimChoice,
     StatefulOracle,
     build_lifted_adversary,
     options_per_index,
-    run_classical_cipher_sim,
     run_classical_sim,
-    run_quantum_cipher_sim,
     run_quantum_sim,
     sample_sim_choice,
     sim_choice_space,
@@ -334,7 +334,7 @@ def test_lifted_single_guess_queries_once():
 # Cipher simulators
 
 
-class CipherReporter(ClassicalCipherAdversary):
+class CipherReporter(ClassicalAdversary):
     budget = 1
     domain = 4
 
@@ -369,16 +369,16 @@ def test_single_key_cipher_sim_matches_permutation_sim():
                 tr_p, tr_c = [], []
                 out_p = run_classical_sim(ValueReporter(4, x=2), base_perm,
                                           target_perm, choice, trace=tr_p)
-                out_c = run_classical_cipher_sim(CipherReporter(0, 2), base_c,
-                                                 target_c, choice, trace=tr_c)
+                out_c = run_classical_sim(CipherReporter(0, 2), base_c,
+                                          target_c, choice, trace=tr_c)
                 assert out_p == out_c
                 assert tr_p[0]["reprogram"] == tr_c[0]["reprogram"][1:]
                 qchoice = SimChoice((1,), (miss,), (0,))
                 d_p = run_quantum_sim(qa_value_reporter(4, x=2), base_perm,
                                       target_perm, qchoice, mode="exact")
-                d_c = run_quantum_cipher_sim(qa_cipher_reporter(1, 4, 0, 2),
-                                             base_c, target_c, qchoice,
-                                             mode="exact")
+                d_c = run_quantum_sim(qa_cipher_reporter(1, 4, 0, 2),
+                                      base_c, target_c, qchoice,
+                                      mode="exact")
                 assert {k: pytest.approx(v) for k, v in d_p.items()} == d_c
 
 
@@ -387,7 +387,7 @@ def test_two_key_reprogramming_leaves_other_key_untouched():
     base = Cipher.random(2, 4, rng)
     target = Cipher.random(2, 4, rng)
 
-    class TwoKeyProbe(ClassicalCipherAdversary):
+    class TwoKeyProbe(ClassicalAdversary):
         budget = 2
         domain = 4
         name = "two-key-probe"
@@ -399,8 +399,8 @@ def test_two_key_reprogramming_leaves_other_key_untouched():
 
     # guessed slot 1 reprograms key 0; the key-1 answer must be untouched
     for miss in (0, 1):
-        xs, z = run_classical_cipher_sim(TwoKeyProbe(), base, target,
-                                         SimChoice((1,), (miss,)))
+        xs, z = run_classical_sim(TwoKeyProbe(), base, target,
+                                  SimChoice((1,), (miss,)))
         assert z == (base.forward(1, 1),)
 
 
@@ -409,9 +409,75 @@ def test_cipher_all_bottom_is_plain_run():
     base = Cipher.random(2, 4, rng)
     target = Cipher.random(2, 4, rng)
     adv = CipherReporter(1, 3)
-    out = run_classical_cipher_sim(adv, base, target, SimChoice((None,), (None,)))
+    out = run_classical_sim(adv, base, target, SimChoice((None,), (None,)))
     assert out == adv.run(base)
     qadv = qa_cipher_reporter(2, 4, 1, 3)
-    dist = run_quantum_cipher_sim(qadv, base, target,
-                                  SimChoice((None,), (None,), (None,)), mode="exact")
+    dist = run_quantum_sim(qadv, base, target,
+                           SimChoice((None,), (None,), (None,)), mode="exact")
     assert dist == {((3,), (base.forward(1, 3),)): pytest.approx(1.0)}
+
+
+# ---------------------------------------------------------------------------
+# One edit for both oracle types: planted bug and type mismatches
+
+
+def _grid_oracles(oracle_type):
+    """(base, target, classical reporter, quantum reporter, x, answer key)
+    over a small grid; the cipher variant queries key 1 of two keys."""
+    perms = list(all_permutations(4))
+    for base_perm in perms[::5]:
+        for target_perm in perms[::7]:
+            if oracle_type == "permutation":
+                yield (base_perm, target_perm, ValueReporter(4, x=2),
+                       qa_value_reporter(4, x=2), 2, ())
+            else:
+                base = Cipher([perms[-1], base_perm])
+                target = Cipher([perms[3], target_perm])
+                yield (base, target, CipherReporter(1, 2),
+                       qa_cipher_reporter(2, 4, 1, 2), 2, (1,))
+
+
+def assert_hit_reports_target(oracle_type, simulator):
+    """A forward query guessed as a HIT is answered by target(x): the edit
+    writes (x, target(x)) (or (key, x, E_key(x))) before the answer."""
+    for base, target, adv, qadv, x, key in _grid_oracles(oracle_type):
+        expect = ((x,), (target.forward(*key, x),))
+        if simulator == "classical":
+            got = run_classical_sim(adv, base, target, SimChoice((1,), (HIT,)))
+            assert got == expect, (base, target)
+        else:
+            dist = run_quantum_sim(qadv, base, target, SimChoice((1,), (HIT,), (0,)),
+                                   mode="exact")
+            assert dist == {expect: pytest.approx(1.0)}, (base, target)
+
+
+@pytest.mark.parametrize("simulator", ["classical", "quantum"])
+@pytest.mark.parametrize("oracle_type", ["permutation", "cipher"])
+def test_swapped_hit_and_miss_edit_is_caught(monkeypatch, oracle_type, simulator):
+    assert_hit_reports_target(oracle_type, simulator)
+    real = simulators._reprogram_edit
+    monkeypatch.setattr(
+        simulators, "_reprogram_edit",
+        lambda tag, miss, point, base, target:
+            real(tag, MISS if miss == HIT else HIT, point, base, target),
+    )
+    with pytest.raises(AssertionError):
+        assert_hit_reports_target(oracle_type, simulator)
+
+
+def test_cipher_given_to_unkeyed_circuit_is_a_precondition_error():
+    cipher = Cipher.random(2, 4, np.random.default_rng(12))
+    with pytest.raises(PreconditionError, match="no key register.*Cipher"):
+        run_quantum_sim(qa_value_reporter(4), cipher, cipher,
+                        SimChoice((1,), (HIT,), (0,)), mode="exact")
+    with pytest.raises(PreconditionError, match="no key register.*Cipher"):
+        run_circuit(qa_value_reporter(4).circuit, cipher)
+
+
+def test_permutation_given_to_keyed_circuit_is_a_precondition_error():
+    perm = Permutation.identity(4)
+    qadv = qa_cipher_reporter(2, 4, 1, 2)
+    with pytest.raises(PreconditionError, match="key register 'K'.*Permutation"):
+        run_quantum_sim(qadv, perm, perm, SimChoice((1,), (HIT,), (0,)), mode="exact")
+    with pytest.raises(PreconditionError, match="key register 'K'.*Permutation"):
+        run_circuit(qadv.circuit, perm)
