@@ -234,7 +234,7 @@ def circuit_to_json(circuit: NormalFormCircuit) -> dict:
     """Serialize with unitaries as dense nested [re, im] arrays."""
     mats = []
     for u in circuit.unitaries:
-        m = dense_matrix(u, circuit.regs)
+        m = dense_matrix(u.apply, circuit.regs)
         mats.append([[[float(c.real), float(c.imag)] for c in row] for row in m])
     return {
         "registers": [[name, dim] for name, dim in circuit.regs.specs()],

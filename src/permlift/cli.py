@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -24,16 +25,18 @@ from typing import Optional
 import numpy as np
 
 from . import algebra_checks, bounds
-from .battery import classical_battery, quantum_battery
+from .battery import classical_battery, qa_value_reporter, quantum_battery
 from .errors import CapabilityError, DomainError, PreconditionError
 from .games import get_game
+from .interactive import OneShotAdversary, RelationChallenger, interactive_lift_exact
 from .lifting import (
     classical_lift_exact,
     quantum_lift_exact,
     quantum_lift_monte_carlo,
 )
-from .perms import Permutation, all_permutations, permutation_count
+from .perms import Permutation, all_permutations, is_good_pair, permutation_count
 from .simulators import (
+    choice_count,
     decomposition_residual,
     run_classical_sim,
     run_quantum_sim,
@@ -67,6 +70,11 @@ class ExperimentConfig:
             "k": self.k, "seed": self.seed, "mode": self.mode,
             "trials": self.trials, "game": self.game, "kind": self.kind,
         }
+
+    def require_lift_enumerable(self, slots: int, with_timing: bool) -> None:
+        """Exact lifting runs the simulator once per target x base x choice."""
+        choices = choice_count(slots, self.k, with_timing)
+        self.require_enumerable(permutation_count(self.n[0]) ** 2 * choices)
 
     def require_enumerable(self, cost: int) -> None:
         if self.mode == "exhaustive" and cost > EXHAUSTIVE_CEILING:
@@ -118,15 +126,11 @@ def cmd_verify_decomposition(config: ExperimentConfig) -> tuple[dict, int]:
     config.require_enumerable(permutation_count(n) ** 2)
     battery = [a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * config.q]
     perms = list(all_permutations(n))
-    import itertools as it
-
-    from .perms import is_good_pair
-
     for adv in battery:
         worst = 0.0
         cases = 0
         skipped = 0
-        for xs in it.permutations(range(n), config.k):
+        for xs in itertools.permutations(range(n), config.k):
             for base in perms:
                 for target in perms:
                     if not is_good_pair(base, target, xs):
@@ -157,39 +161,27 @@ def cmd_verify_lifting(config: ExperimentConfig) -> tuple[dict, int]:
         )
     rel = get_game(config.game, n)
     if config.kind == "classical":
-        config.require_enumerable(permutation_count(n) ** 2 * (2 * config.q + 1))
+        config.require_lift_enumerable(config.q, with_timing=False)
         for adv in classical_battery(n):
             if adv.budget > config.q:
                 continue
             results.append(classical_lift_exact(adv, rel, config.k).to_dict())
     elif config.kind == "quantum":
-        if config.mode == "exhaustive":
-            config.require_enumerable(
-                permutation_count(n) ** 2 * (8 * config.q + 1) ** config.k
-            )
-            for adv in quantum_battery(n):
-                if adv.queries > config.q:
-                    continue
-                results.append(quantum_lift_exact(adv, rel, config.k).to_dict())
-        else:
-            for adv in quantum_battery(n):
-                if adv.queries > config.q:
-                    continue
-                results.append(
-                    quantum_lift_monte_carlo(adv, rel, config.trials,
-                                             config.seed, config.k).to_dict()
-                )
+        config.require_lift_enumerable(2 * config.q, with_timing=True)
+        for adv in quantum_battery(n):
+            if adv.queries > config.q:
+                continue
+            if config.mode == "exhaustive":
+                report = quantum_lift_exact(adv, rel, config.k)
+            else:
+                report = quantum_lift_monte_carlo(adv, rel, config.trials, config.seed, config.k)
+            results.append(report.to_dict())
     elif config.kind == "interactive":
-        from .battery import qa_value_reporter
-        from .interactive import RelationChallenger, interactive_lift_exact, OneShotAdversary
-
-        adv = OneShotAdversary(
-            circuit_for=lambda challenge: qa_value_reporter(n),
-            queries=1, name="q-value-reporter",
-        )
-        report = interactive_lift_exact(
-            [RelationChallenger(rel)], adv, n, config.k, rel.name
-        )
+        qadv = qa_value_reporter(n)
+        config.require_lift_enumerable(qadv.circuit.num_slots, with_timing=True)
+        adv = OneShotAdversary(circuit_for=lambda challenge: qadv, queries=1,
+                               name="q-value-reporter")
+        report = interactive_lift_exact([RelationChallenger(rel)], adv, n, config.k, rel.name)
         results.append(report.to_dict())
     else:
         raise DomainError(f"unknown lifting kind {config.kind!r}")

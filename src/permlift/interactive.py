@@ -11,15 +11,14 @@ oracle and the adversary's by the simulator's stateful one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuits import run_circuit
 from .errors import ProtocolError
 from .games import Relation
-from .lifting import LiftReport, quantum_factor
+from .lifting import LiftReport, adversary_runners, exact_mean, quantum_factor
 from .perms import all_permutations
-from .simulators import QuantumAdversary, run_quantum_sim, sim_choice_space
 
 
 class Challenger:
@@ -234,24 +233,15 @@ class OneShotAdversary:
     name: str = "one-shot"
 
 
-def _adversary_outcomes(adv: QuantumAdversary, oracle) -> dict:
-    return adv.output_distribution(run_circuit(adv.circuit, oracle))
-
-
 def real_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
                         n: int) -> float:
     """Exact Pr[adversary wins], averaged over instances and permutations."""
-    total = 0.0
-    count = 0
-    for target in all_permutations(n):
-        for ch in instances:
-            count += 1
-            challenge = challenge_messages(ch, target)
-            qa = adv.circuit_for(challenge)
-            for (xs, z), p in _adversary_outcomes(qa, target).items():
-                verdict, _ = run_game(ch, target, [(xs, z)])
-                if verdict:
-                    total += p
+
+    def outcomes(target, ch):
+        return adversary_runners(adv.circuit_for(challenge_messages(ch, target))).run(target)
+
+    total, count = exact_mean(itertools.product(all_permutations(n), instances), outcomes,
+                              lambda case, xs, z: run_game(case[1], case[0], [(xs, z)])[0])
     return total / count
 
 
@@ -265,26 +255,24 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
     re-read from the external permutation.
     """
     perms = list(all_permutations(n))
-    total = 0.0
-    count = 0
-    for target in perms:
-        for ch in instances:
-            challenge = challenge_messages(ch, target)
-            qa = adv.circuit_for(challenge)
-            choices = sim_choice_space(qa.circuit.num_slots, k, with_timing=True)
-            for base in perms:
-                for choice in choices:
-                    count += 1
-                    dist = run_quantum_sim(qa, base, target, choice, mode="exact")
-                    for (xs, z), p in dist.items():
-                        _, view = run_game(ch, target, [(xs, z)])
-                        replay = View(
-                            view.xs,
-                            tuple(target.forward(x) for x in view.xs),
-                            view.transcript,
-                        )
-                        if ver_view(ch, replay):
-                            total += p
+
+    def cases():
+        for target in perms:
+            for ch in instances:
+                runners = adversary_runners(adv.circuit_for(challenge_messages(ch, target)))
+                for base, choice in itertools.product(perms, runners.choices(k)):
+                    yield target, ch, runners, base, choice
+
+    def accept(case, xs, z):
+        target, ch = case[:2]
+        _, view = run_game(ch, target, [(xs, z)])
+        return ver_view(ch, View(view.xs, tuple(target.forward(x) for x in view.xs),
+                                 view.transcript))
+
+    def outcomes(target, ch, runners, base, choice):
+        return runners.sim(target, base, choice)
+
+    total, count = exact_mean(cases(), outcomes, accept)
     return total / count
 
 

@@ -11,16 +11,19 @@ used.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .circuits import run_circuit
 from .games import Relation
-from .perms import Permutation, all_permutations, permutation_count
+from .perms import Permutation, all_permutations
 from .qsim import sample_measurement
 from .simulators import (
     ClassicalAdversary,
@@ -78,31 +81,68 @@ def _win(rel: Relation, target: Permutation, xs, z) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Classical lifting, exact
+# Exact lifting: one exhaustive expectation for every model and check
+
+
+def exact_mean(cases: Iterable, outcomes: Callable, accept: Callable) -> tuple:
+    """(sum of accepted outcome weights, number of cases) over every case.
+
+    ``outcomes(*case)`` yields ((xs, z), weight) pairs, weight 1 for a classical
+    run and the branch probability for a quantum one; ``accept(case, xs, z)``
+    tests one outcome.  Weights are summed in enumeration order.
+    """
+    total = 0
+    count = 0
+    for case in cases:
+        count += 1
+        for (xs, z), weight in outcomes(*case):
+            if accept(case, xs, z):
+                total += weight
+    return total, count
+
+
+Runners = namedtuple("Runners", "run sim choices mean")
+
+
+def adversary_runners(adv) -> Runners:
+    """An adversary's runners, built once per verdict (not per run): run(oracle)
+    and sim(target, base, choice) yield weighted outcomes, choices(k) lists the
+    simulator's choices, and mean(total, count) divides exactly or in floats."""
+    if isinstance(adv, QuantumAdversary):
+        return Runners(
+            lambda oracle: adv.output_distribution(run_circuit(adv.circuit, oracle)).items(),
+            lambda target, base, choice: run_quantum_sim(
+                adv, base, target, choice, mode="exact").items(),
+            lambda k: sim_choice_space(adv.circuit.num_slots, k, True), operator.truediv)
+    return Runners(
+        lambda oracle: ((adv.run(oracle), 1),),
+        lambda target, base, choice: ((run_classical_sim(adv, base, target, choice), 1),),
+        lambda k: sim_choice_space(adv.budget, k, False), Fraction)
+
+
+def _adversary_win(adv, rel: Relation):
+    """The adversary's win probability over every target."""
+    runners = adversary_runners(adv)
+    return runners.mean(*exact_mean(((target,) for target in all_permutations(rel.n)),
+                                    runners.run,
+                                    lambda case, xs, z: _win(rel, case[0], xs, z)))
+
+
+def _lifted_win(adv, rel: Relation, k: int):
+    """The simulator's win probability over target x base x choice."""
+    runners = adversary_runners(adv)
+    perms = list(all_permutations(rel.n))
+    return runners.mean(*exact_mean(itertools.product(perms, perms, runners.choices(k)),
+                                    runners.sim,
+                                    lambda case, xs, z: _win(rel, case[0], xs, z)))
 
 
 def classical_adversary_win_exact(adv: ClassicalAdversary, rel: Relation) -> Fraction:
-    n = rel.n
-    wins = 0
-    for target in all_permutations(n):
-        xs, z = adv.run(target)
-        if _win(rel, target, xs, z):
-            wins += 1
-    return Fraction(wins, permutation_count(n))
+    return _adversary_win(adv, rel)
 
 
 def classical_lifted_win_exact(adv: ClassicalAdversary, rel: Relation, k: int) -> Fraction:
-    n = rel.n
-    choices = sim_choice_space(adv.budget, k, with_timing=False)
-    perms = list(all_permutations(n))
-    wins = 0
-    for target in perms:
-        for base in perms:
-            for choice in choices:
-                xs, z = run_classical_sim(adv, base, target, choice)
-                if _win(rel, target, xs, z):
-                    wins += 1
-    return Fraction(wins, len(perms) ** 2 * len(choices))
+    return _lifted_win(adv, rel, k)
 
 
 def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> LiftReport:
@@ -116,34 +156,12 @@ def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> 
     )
 
 
-# ---------------------------------------------------------------------------
-# Quantum lifting, exact
-
-
 def quantum_adversary_win_exact(adv: QuantumAdversary, rel: Relation) -> float:
-    n = rel.n
-    total = 0.0
-    for target in all_permutations(n):
-        dist = adv.output_distribution(run_circuit(adv.circuit, target))
-        for (xs, z), p in dist.items():
-            if _win(rel, target, xs, z):
-                total += p
-    return total / permutation_count(n)
+    return _adversary_win(adv, rel)
 
 
 def quantum_lifted_win_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> float:
-    n = rel.n
-    choices = sim_choice_space(adv.circuit.num_slots, k, with_timing=True)
-    perms = list(all_permutations(n))
-    total = 0.0
-    for target in perms:
-        for base in perms:
-            for choice in choices:
-                dist = run_quantum_sim(adv, base, target, choice, mode="exact")
-                for (xs, z), p in dist.items():
-                    if _win(rel, target, xs, z):
-                        total += p
-    return total / (len(perms) ** 2 * len(choices))
+    return _lifted_win(adv, rel, k)
 
 
 def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> LiftReport:
@@ -202,47 +220,25 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
 # Per-instance measure-and-reprogram inequalities
 
 
-def classical_mr_check(adv: ClassicalAdversary, rel: Relation, base: Permutation,
-                       target: Permutation, xs: Sequence[int]):
-    """LHS and RHS of the classical per-instance simulator inequality.
+def mr_check(adv, rel: Relation, base: Permutation, target: Permutation,
+             xs: Sequence[int]):
+    """LHS and RHS of the per-instance simulator inequality.
 
-    LHS: probability (over choices) that the simulator outputs exactly the
-    marked inputs with a winning z against the reprogrammed values.  RHS: the
-    same event probability for the adversary run on the reprogrammed table,
-    which the simulator must match up to 1/(2q+1)^k.
+    LHS: probability (over choices and measurement branches) that the
+    simulator outputs exactly the marked inputs with a winning z against the
+    reprogrammed values.  RHS: the same event probability for the adversary
+    run on the reprogrammed table, which the simulator must match up to
+    1/(2q+1)^k, or 1/(8q+1)^(2k) for a quantum adversary.  Fractions for a
+    classical adversary, floats for a quantum one.
     """
     xs = tuple(xs)
     ys = tuple(target.forward(x) for x in xs)
-    k = len(xs)
-    choices = sim_choice_space(adv.budget, k, with_timing=False)
-    lhs_hits = 0
-    for choice in choices:
-        out_xs, z = run_classical_sim(adv, base, target, choice)
-        if out_xs == xs and rel.wins(xs, ys, z):
-            lhs_hits += 1
-    reprogrammed = base.reprogram_seq(list(zip(xs, ys)))
-    out_xs, z = adv.run(reprogrammed)
-    rhs = Fraction(1 if out_xs == xs and rel.wins(xs, ys, z) else 0)
-    return Fraction(lhs_hits, len(choices)), rhs
+    runners = adversary_runners(adv)
 
+    def marked_win(case, out_xs, z):
+        return out_xs == xs and rel.wins(xs, ys, z)
 
-def quantum_mr_check(adv: QuantumAdversary, rel: Relation, base: Permutation,
-                     target: Permutation, xs: Sequence[int]):
-    """Quantum analogue of classical_mr_check, with exact branch weights."""
-    xs = tuple(xs)
-    ys = tuple(target.forward(x) for x in xs)
-    k = len(xs)
-    choices = sim_choice_space(adv.circuit.num_slots, k, with_timing=True)
-    lhs = 0.0
-    for choice in choices:
-        dist = run_quantum_sim(adv, base, target, choice, mode="exact")
-        for (out_xs, z), p in dist.items():
-            if out_xs == xs and rel.wins(xs, ys, z):
-                lhs += p
-    lhs /= len(choices)
-    rhs = 0.0
-    dist = adv.output_distribution(run_circuit(adv.circuit, base.reprogram_seq(list(zip(xs, ys)))))
-    for (out_xs, z), p in dist.items():
-        if out_xs == xs and rel.wins(xs, ys, z):
-            rhs += p
-    return lhs, rhs
+    lhs = exact_mean(((target, base, choice) for choice in runners.choices(len(xs))),
+                     runners.sim, marked_win)
+    rhs = exact_mean([(base.reprogram_seq(list(zip(xs, ys))),)], runners.run, marked_win)
+    return runners.mean(*lhs), runners.mean(*rhs)

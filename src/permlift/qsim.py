@@ -454,30 +454,17 @@ def controlled_xor_gate(source: str, target: str, dims: tuple[int, int],
     return BasisMap((source, target), tuple(table))
 
 
-def dense_matrix(unitary: Unitary, regs: Registers) -> np.ndarray:
-    """Materialize a gate list as one dense matrix over the full space."""
+def dense_matrix(apply: Callable[[StateVector], StateVector], regs: Registers) -> np.ndarray:
+    """Materialize a state map, such as ``Unitary.apply``, as one dense matrix."""
     d = regs.total_dim
     cols = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
         amps = np.zeros(d, dtype=np.complex128)
         amps[i] = 1.0
-        cols[:, i] = unitary.apply(StateVector(regs, amps.reshape(regs.dims))).flat()
+        cols[:, i] = apply(StateVector(regs, amps.reshape(regs.dims))).flat()
     return cols
 
 
 def is_unitary_matrix(m: np.ndarray, tol: float = STATE_TOL) -> bool:
     d = m.shape[0]
     return m.shape == (d, d) and np.allclose(m.conj().T @ m, np.eye(d), atol=tol)
-
-
-def oracle_matrix(perm: Permutation, direction: str = "forward") -> np.ndarray:
-    """Dense matrix of the XOR oracle on a bare (query, response) pair."""
-    regs = Registers((("q", perm.n), ("r", perm.n)))
-    d = regs.total_dim
-    cols = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[i] = 1.0
-        out = apply_oracle(StateVector(regs, amps.reshape(regs.dims)), perm, direction)
-        cols[:, i] = out.flat()
-    return cols

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .ciphers import Cipher
 from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit, run_with_insertions
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import Permutation, hit_miss_queries, is_good_pair
@@ -76,6 +78,12 @@ class SimChoice:
 def options_per_index(num_slots: int, with_timing: bool) -> int:
     """Size of the per-index guess menu, ignoring the distinctness constraint."""
     return (4 * num_slots + 1) if with_timing else (2 * num_slots + 1)
+
+
+def choice_count(num_slots: int, k: int, with_timing: bool = True) -> int:
+    """len(sim_choice_space(...)), counted: j guessed indices take j distinct slots."""
+    flags = 4 if with_timing else 2
+    return sum(math.comb(k, j) * math.perm(num_slots, j) * flags ** j for j in range(k + 1))
 
 
 def sim_choice_space(num_slots: int, k: int, with_timing: bool = True) -> list[SimChoice]:
@@ -214,6 +222,7 @@ class _ClassicalSimState:
         self.base = base
         self.target = target
         self.oracle = StatefulOracle(base)
+        self.arity = 2 if isinstance(base, Cipher) else 1
         self.slot_map = choice.slot_map()
         self.miss_flags = choice.miss_flags
         self.budget = budget
@@ -221,6 +230,9 @@ class _ClassicalSimState:
         self.count = 0
 
     def answer(self, tag: str, point: tuple) -> int:
+        if len(point) != self.arity:
+            raise PreconditionError(f"a {type(self.base).__name__} oracle takes {self.arity} "
+                                    f"query argument(s), not {len(point)}")
         self.count += 1
         if self.count > self.budget:
             raise ProtocolError(f"adversary exceeded its budget of {self.budget} queries")

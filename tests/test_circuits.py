@@ -170,7 +170,7 @@ def test_builder_gate_names():
     b.oracle(FORWARD)
     circuit = b.build()
     assert circuit.num_slots == 1
-    mat = dense_matrix(circuit.unitaries[0], circuit.regs)
+    mat = dense_matrix(circuit.unitaries[0].apply, circuit.regs)
     assert is_unitary_matrix(mat)
 
 

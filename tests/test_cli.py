@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from permlift import algebra_checks
+from permlift import algebra_checks, cli
 from permlift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -78,6 +78,27 @@ def test_verify_lifting_rejects_monte_carlo_for_exact_only_kinds(kind, capsys):
 def test_trace_rejects_interactive_kind(capsys):
     assert run_cli(["trace", "--kind", "interactive", "--n", "4", "--seed", "7"]) == EXIT_CONFIG
     assert "--kind interactive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "classical", "--n", "4", "--q", "1", "--k", "2"],  # 24^2 * 5 runs
+    ["--kind", "interactive", "--n", "4"],  # 24^2 * (4 * 1 + 1) runs
+])
+def test_verify_lifting_cost_counts_the_enumerated_choices(args, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 2000)
+    assert run_cli(["verify-lifting"] + args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "2880 cases" in err and "ceiling 2000" in err
+
+
+def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
+    # 6!^2 * 37 choices at q=2, k=3; without the k exponent it read 2,592,000.
+    # With no adversaries a missed ceiling exits 0 at once instead of running.
+    monkeypatch.setattr(cli, "classical_battery", lambda n: [])
+    code = run_cli(["verify-lifting", "--kind", "classical", "--n", "6", "--q", "2",
+                    "--k", "3"])
+    assert code == EXIT_CONFIG
+    assert "19180800 cases" in capsys.readouterr().err
 
 
 def test_verify_lifting_unknown_game():

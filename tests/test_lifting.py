@@ -1,11 +1,13 @@
 """Lifting inequalities and per-instance measure-and-reprogram checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from permlift import lifting
 from permlift.battery import (
     BlindGuess,
     FixedPointSeeker,
@@ -25,13 +27,13 @@ from permlift.lifting import (
     classical_adversary_win_exact,
     classical_factor,
     classical_lift_exact,
-    classical_mr_check,
+    mr_check,
     quantum_factor,
     quantum_lift_exact,
     quantum_lift_monte_carlo,
-    quantum_mr_check,
 )
 from permlift.perms import Permutation, all_permutations, is_good_pair
+from permlift.simulators import build_lifted_adversary
 
 
 def test_factors():
@@ -99,7 +101,7 @@ def test_classical_mr_inequality_per_instance():
             if not is_good_pair(base, target, (1,)):
                 continue
             checked += 1
-            lhs, rhs = classical_mr_check(adv, rel, base, target, (1,))
+            lhs, rhs = mr_check(adv, rel, base, target, (1,))
             assert lhs >= rhs / (2 * adv.budget + 1)
     assert checked > 10
 
@@ -114,7 +116,7 @@ def test_quantum_mr_inequality_per_instance():
             if not is_good_pair(base, target, (1,)):
                 continue
             checked += 1
-            lhs, rhs = quantum_mr_check(adv, rel, base, target, (1,))
+            lhs, rhs = mr_check(adv, rel, base, target, (1,))
             assert lhs >= rhs / (8 * adv.queries + 1) ** 2 - 1e-12
     assert checked > 5
 
@@ -126,7 +128,7 @@ def test_quantum_mr_reprogrammed_run_wins_reporter():
     adv = qa_value_reporter(4, x=1)
     base = Permutation.identity(4)
     target = Permutation([3, 0, 1, 2])
-    lhs, rhs = quantum_mr_check(adv, rel, base, target, (1,))
+    lhs, rhs = mr_check(adv, rel, base, target, (1,))
     assert rhs == pytest.approx(1.0)
     assert lhs >= 1 / 81
 
@@ -147,3 +149,42 @@ def test_quantum_monte_carlo_enforces_the_lifted_budget(monkeypatch):
     with pytest.raises(ProtocolError, match="external budget"):
         quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
                                  trials=200, seed=3)
+
+
+def _lifted_monte_carlo(adv, rel, trials, seed):
+    """Win rate of the object build_lifted_adversary(adv, 1) returns, run
+    against uniformly random targets."""
+    rng = np.random.default_rng(seed)
+    lifted = build_lifted_adversary(adv, 1)
+    wins = 0
+    for _ in range(trials):
+        target = Permutation.random(rel.n, rng)
+        xs, z = lifted.run(target, rng)
+        wins += rel.wins(xs, tuple(target.forward(x) for x in xs), z)
+    return wins / trials
+
+
+def _within_3_sigma(exact, estimate, trials):
+    return abs(estimate - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def test_exact_lifting_certifies_the_built_lifted_adversary(monkeypatch):
+    # the exact enumeration covers the experiment that the built object samples
+    rel = relation_output_guess(4)
+    classical = classical_lift_exact(ValueReporter(4, x=1), rel)
+    assert classical.p_lifted == 7 / 12
+    assert _within_3_sigma(7 / 12, _lifted_monte_carlo(ValueReporter(4, x=1), rel, 3000, 7),
+                           3000)
+    qadv = qa_value_reporter(4)
+    sampled = quantum_lift_monte_carlo(qadv, rel, 3000, seed=7).p_lifted
+    assert quantum_lift_exact(qadv, rel).p_lifted == pytest.approx(0.45)
+    assert _within_3_sigma(0.45, sampled, 3000)
+    # an exact lift that simulates another experiment (base and target swapped)
+    # still reports holds, and only the comparison with the built object fails
+    real = lifting.run_quantum_sim
+    monkeypatch.setattr(lifting, "run_quantum_sim",
+                        lambda adv, base, target, *rest, **kw: real(adv, target, base,
+                                                                    *rest, **kw))
+    swapped = quantum_lift_exact(qadv, rel)
+    assert swapped.holds and swapped.p_lifted == pytest.approx(0.7)
+    assert not _within_3_sigma(swapped.p_lifted, sampled, 3000)

@@ -18,7 +18,6 @@ from permlift.qsim import (
     is_unitary_matrix,
     measure_distribution,
     measurement_branches,
-    oracle_matrix,
     project,
     sample_measurement,
     superposition_gate,
@@ -66,7 +65,7 @@ def test_oracle_unitarity_and_xor_table(n):
     rng = np.random.default_rng(n)
     pi = Permutation.random(n, rng)
     for direction, table in (("forward", pi.fwd), ("backward", pi.inv)):
-        mat = oracle_matrix(pi, direction)
+        mat = dense_matrix(lambda s: apply_oracle(s, pi, direction), regs(n))
         assert is_unitary_matrix(mat)
         r = regs(n)
         for x in range(n):
@@ -166,7 +165,7 @@ def test_sample_measurement_collapses(seed=3):
 def test_gate_unitarity():
     r = Registers((("q", 4), ("r", 2)))
     for gate in (hadamard_gate("q", 4), superposition_gate("q", 4, (0, 2))):
-        mat = dense_matrix(Unitary((gate,)), r)
+        mat = dense_matrix(Unitary((gate,)).apply, r)
         assert is_unitary_matrix(mat)
 
 

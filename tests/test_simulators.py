@@ -28,6 +28,7 @@ from permlift.simulators import (
     SimChoice,
     StatefulOracle,
     build_lifted_adversary,
+    choice_count,
     options_per_index,
     run_classical_sim,
     run_quantum_sim,
@@ -481,3 +482,21 @@ def test_permutation_given_to_keyed_circuit_is_a_precondition_error():
         run_quantum_sim(qadv, perm, perm, SimChoice((1,), (HIT,), (0,)), mode="exact")
     with pytest.raises(PreconditionError, match="key register 'K'.*Permutation"):
         run_circuit(qadv.circuit, perm)
+
+
+@pytest.mark.parametrize("choice", [SimChoice((None,), (None,)), SimChoice((1,), (HIT,))])
+def test_wrong_arity_classical_adversary_is_a_precondition_error(choice):
+    # the oracle type fixes the query arity: (key, x) for a Cipher, x for a
+    # Permutation, with or without a guessed slot
+    cipher = Cipher.random(2, 4, np.random.default_rng(13))
+    perm = Permutation.identity(4)
+    with pytest.raises(PreconditionError, match="Cipher oracle takes 2 .* not 1"):
+        run_classical_sim(ValueReporter(4, x=2), cipher, cipher, choice)
+    with pytest.raises(PreconditionError, match="Permutation oracle takes 1 .* not 2"):
+        run_classical_sim(CipherReporter(1, 2), perm, perm, choice)
+
+
+def test_choice_count_matches_the_enumerated_space():
+    for slots, k, timing in itertools.product(range(5), range(4), (True, False)):
+        assert choice_count(slots, k, timing) == len(sim_choice_space(slots, k, timing))
+    assert choice_count(2, 3, False) == 37
