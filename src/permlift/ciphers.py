@@ -173,23 +173,21 @@ def cipher_bad_probability_bound(k: int, n: int) -> Fraction:
     return Fraction(k * k, n)
 
 
-def all_ciphers(key_count: int, n: int,
-                ceiling: int = ENUMERATION_CEILING) -> Iterator[Cipher]:
+def all_ciphers(key_count: int, n: int) -> Iterator[Cipher]:
     """All (n!)^key_count ciphers, per-key lexicographic order."""
-    if math.factorial(n) ** key_count > math.factorial(ceiling) ** 2:
+    if math.factorial(n) ** key_count > math.factorial(ENUMERATION_CEILING) ** 2:
         raise CapabilityError(
             f"({n}!)^{key_count} cipher enumeration exceeds the ceiling"
         )
-    pools = [list(all_permutations(n, ceiling)) for _ in range(key_count)]
+    pools = [list(all_permutations(n)) for _ in range(key_count)]
     for combo in itertools.product(*pools):
         yield Cipher(combo)
 
 
-def cipher_bad_fraction(base: Cipher, keys: Sequence[int], xs: Sequence[int],
-                        ceiling: int = ENUMERATION_CEILING) -> Fraction:
+def cipher_bad_fraction(base: Cipher, keys: Sequence[int], xs: Sequence[int]) -> Fraction:
     total = 0
     bad = 0
-    for t in all_ciphers(base.key_count, base.n, ceiling):
+    for t in all_ciphers(base.key_count, base.n):
         total += 1
         if not cipher_is_good_pair(base, t, keys, xs):
             bad += 1

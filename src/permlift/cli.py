@@ -17,6 +17,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -84,6 +85,13 @@ class ExperimentConfig:
             )
 
 
+def _within_q(adversaries: list, config: ExperimentConfig) -> list:
+    """The adversaries that fit --q; none fitting is an error, not a vacuous pass."""
+    if not adversaries:
+        raise DomainError(f"no adversary fits --q {config.q}")
+    return adversaries
+
+
 def _finish(config: ExperimentConfig, results: list, started: float) -> tuple[dict, int]:
     ok = all(r.get("ok", r.get("holds", False)) for r in results)
     report = {
@@ -123,8 +131,14 @@ def cmd_verify_decomposition(config: ExperimentConfig) -> tuple[dict, int]:
     started = time.time()
     results = []
     n = config.n[0]
-    config.require_enumerable(permutation_count(n) ** 2)
-    battery = [a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * config.q]
+    if config.mode != "exhaustive":
+        raise DomainError(f"verify-decomposition has no --mode {config.mode}; "
+                          "it enumerates every case")
+    # one circuit run per component: marked tuple x base x target x choice
+    config.require_enumerable(math.perm(n, config.k) * permutation_count(n) ** 2
+                              * choice_count(2 * config.q, config.k))
+    battery = _within_q([a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * config.q],
+                        config)
     perms = list(all_permutations(n))
     for adv in battery:
         worst = 0.0
@@ -162,15 +176,11 @@ def cmd_verify_lifting(config: ExperimentConfig) -> tuple[dict, int]:
     rel = get_game(config.game, n)
     if config.kind == "classical":
         config.require_lift_enumerable(config.q, with_timing=False)
-        for adv in classical_battery(n):
-            if adv.budget > config.q:
-                continue
+        for adv in _within_q([a for a in classical_battery(n) if a.budget <= config.q], config):
             results.append(classical_lift_exact(adv, rel, config.k).to_dict())
     elif config.kind == "quantum":
         config.require_lift_enumerable(2 * config.q, with_timing=True)
-        for adv in quantum_battery(n):
-            if adv.queries > config.q:
-                continue
+        for adv in _within_q([a for a in quantum_battery(n) if a.queries <= config.q], config):
             if config.mode == "exhaustive":
                 report = quantum_lift_exact(adv, rel, config.k)
             else:
@@ -179,7 +189,8 @@ def cmd_verify_lifting(config: ExperimentConfig) -> tuple[dict, int]:
     elif config.kind == "interactive":
         qadv = qa_value_reporter(n)
         config.require_lift_enumerable(qadv.circuit.num_slots, with_timing=True)
-        adv = OneShotAdversary(circuit_for=lambda challenge: qadv, queries=1,
+        _within_q([qadv] if qadv.queries <= config.q else [], config)
+        adv = OneShotAdversary(circuit_for=lambda challenge: qadv, queries=qadv.queries,
                                name="q-value-reporter")
         report = interactive_lift_exact([RelationChallenger(rel)], adv, n, config.k, rel.name)
         results.append(report.to_dict())

@@ -111,44 +111,38 @@ def challenge_messages(challenger: Challenger, oracle) -> tuple:
     return tuple(m for tag, m in view.transcript if tag == "C")
 
 
+class _ReplayOracle:
+    """Answers the i-th query with the i-th recorded (x, y) of a view; a query
+    past the record or differing from it is a ProtocolError."""
+
+    def __init__(self, view: View):
+        self._pairs = iter(zip(view.xs, view.ys))
+
+    def _next(self, asked: int, recorded: int) -> tuple[int, int]:
+        pair = next(self._pairs, None)
+        if pair is None or asked != pair[recorded]:
+            raise ProtocolError("challenger query does not match the recorded view")
+        return pair
+
+    def forward(self, x: int) -> int:
+        return self._next(x, 0)[1]
+
+    def backward(self, y: int) -> int:
+        return self._next(y, 1)[0]
+
+
 def ver_view(challenger: Challenger, view: View) -> bool:
-    """Replay the challenger against a recorded view; reject on inconsistency."""
-    gen = challenger.program()
-    qpos = 0
-    tpos = 0
-    reply = None
+    """Replay the challenger against a recorded view with ``_drive``, as in a
+    live game, but with queries answered from the view and the view's
+    adversary messages.  Accepts iff the verdict is true and the replay
+    reproduces the view; a mismatch, a missing message or a protocol error
+    (such as an exceeded query budget) rejects."""
+    messages = [msg for tag, msg in view.transcript if tag == "A"]
     try:
-        while True:
-            op = gen.send(reply)
-            reply = None
-            if op[0] in ("query", "query_inv"):
-                if qpos >= len(view.xs):
-                    return False
-                x, y = view.xs[qpos], view.ys[qpos]
-                if op[0] == "query":
-                    if op[1] != x:
-                        return False
-                    reply = y
-                else:
-                    if op[1] != y:
-                        return False
-                    reply = x
-                qpos += 1
-            elif op[0] == "send":
-                if tpos >= len(view.transcript) or view.transcript[tpos] != ("C", op[1]):
-                    return False
-                tpos += 1
-            elif op[0] == "recv":
-                if tpos >= len(view.transcript) or view.transcript[tpos][0] != "A":
-                    return False
-                reply = view.transcript[tpos][1]
-                tpos += 1
-            else:
-                return False
-    except StopIteration as stop:
-        if qpos != len(view.xs) or tpos != len(view.transcript):
-            return False
-        return bool(stop.value)
+        verdict, replayed = _drive(challenger, _ReplayOracle(view), messages)
+    except (ProtocolError, _NeedMessage):
+        return False
+    return verdict and replayed == view
 
 
 # ---------------------------------------------------------------------------

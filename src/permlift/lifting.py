@@ -24,7 +24,6 @@ import numpy as np
 from .circuits import run_circuit
 from .games import Relation
 from .perms import Permutation, all_permutations
-from .qsim import sample_measurement
 from .simulators import (
     ClassicalAdversary,
     QuantumAdversary,
@@ -188,12 +187,8 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
     wins_a = 0
     for _ in range(trials):
         target = Permutation.random(n, rng_a)
-        state = run_circuit(adv.circuit, target)
-        outcome, _ = sample_measurement(state, adv.x_regs + adv.z_regs, rng_a)
-        if not isinstance(outcome, tuple):
-            outcome = (outcome,)
-        kx = len(adv.x_regs)
-        if _win(rel, target, tuple(outcome[:kx]), tuple(outcome[kx:])):
+        xs, z = adv.sample_output(run_circuit(adv.circuit, target), rng_a)
+        if _win(rel, target, xs, z):
             wins_a += 1
     lifted = build_lifted_adversary(adv, k)
     wins_b = 0

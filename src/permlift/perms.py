@@ -207,10 +207,10 @@ def bad_probability_bound(k: int, n: int) -> Fraction:
     return Fraction(k * k, n)
 
 
-def all_permutations(n: int, ceiling: int = ENUMERATION_CEILING) -> Iterator[Permutation]:
+def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic table order."""
-    if n > ceiling:
-        raise CapabilityError(f"{n}! enumeration exceeds ceiling n <= {ceiling}")
+    if n > ENUMERATION_CEILING:
+        raise CapabilityError(f"{n}! enumeration exceeds ceiling n <= {ENUMERATION_CEILING}")
     for tab in itertools.permutations(range(n)):
         yield Permutation(tab)
 
@@ -219,11 +219,10 @@ def permutation_count(n: int) -> int:
     return math.factorial(n)
 
 
-def bad_fraction(base: Permutation, xs: Sequence[int],
-                 ceiling: int = ENUMERATION_CEILING) -> Fraction:
+def bad_fraction(base: Permutation, xs: Sequence[int]) -> Fraction:
     """Exact fraction of targets that fail goodness, by full enumeration."""
     n = base.n
-    bad = sum(1 for t in all_permutations(n, ceiling) if not is_good_pair(base, t, xs))
+    bad = sum(1 for t in all_permutations(n) if not is_good_pair(base, t, xs))
     return Fraction(bad, permutation_count(n))
 
 

@@ -177,20 +177,10 @@ def apply_oracle(state: StateVector, oracle, direction: str = "forward",
 def apply_combined_oracle(state: StateVector, perm: Permutation, direction: str = "b",
                           query: str = "q", response: str = "r") -> StateVector:
     """Direction-controlled dispatch: b=0 queries forward, b=1 backward."""
-    regs = state.regs
-    ab = regs.axis(direction)
-    if regs.dims[ab] != 2:
+    if state.regs.dim(direction) != 2:
         raise DomainError("direction register must have dimension 2")
-    aq, ar = regs.axis(query), regs.axis(response)
-    _require_xor_compatible(regs.dims[aq], regs.dims[ar], perm.n)
-    n = perm.n
-    moved = np.moveaxis(state.amps, (ab, aq, ar), (0, 1, 2))
-    out = np.empty_like(moved)
-    xs = np.arange(n)[:, None]
-    for b, table in ((0, perm.fwd), (1, perm.inv)):
-        ys = np.arange(n)[None, :] ^ np.asarray(table)[:, None]
-        out[b] = moved[b][xs, ys]
-    return StateVector(regs, np.moveaxis(out, (0, 1, 2), (ab, aq, ar)))
+    return (apply_oracle(project(state, direction, (0,)), perm, "forward", query, response)
+            + apply_oracle(project(state, direction, (1,)), perm, "backward", query, response))
 
 
 def measure_distribution(state: StateVector, names: Sequence[str]) -> np.ndarray:

@@ -86,73 +86,40 @@ def choice_count(num_slots: int, k: int, with_timing: bool = True) -> int:
     return sum(math.comb(k, j) * math.perm(num_slots, j) * flags ** j for j in range(k + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _index_menu(num_slots: int, with_timing: bool) -> tuple[tuple, ...]:
+    """One index's guesses in menu order: all None, then (slot, hit/miss,
+    before/after) by slot; the timing flag is None without timing."""
+    flags = (0, 1) if with_timing else (None,)
+    return ((None, None, None),) + tuple((s, m, a) for s in range(1, num_slots + 1)
+                                         for m in (HIT, MISS) for a in flags)
+
+
+def _combined_choice(combo: Sequence[tuple], with_timing: bool) -> Optional[SimChoice]:
+    """The choice made of one menu guess per index, or None if two share a slot."""
+    live = [c[0] for c in combo if c[0] is not None]
+    if len(set(live)) != len(live):
+        return None
+    return SimChoice(tuple(c[0] for c in combo), tuple(c[1] for c in combo),
+                     tuple(c[2] for c in combo) if with_timing else None)
+
+
 def sim_choice_space(num_slots: int, k: int, with_timing: bool = True) -> list[SimChoice]:
     """Every valid choice; the uniform distribution over this set is what the
     simulators sample from."""
-    per_index: list[tuple] = [(None, None, None)]
-    for s in range(1, num_slots + 1):
-        for m in (HIT, MISS):
-            if with_timing:
-                for a in (0, 1):
-                    per_index.append((s, m, a))
-            else:
-                per_index.append((s, m, None))
-    out = []
-    for combo in itertools.product(per_index, repeat=k):
-        live = [c[0] for c in combo if c[0] is not None]
-        if len(set(live)) != len(live):
-            continue
-        slots = tuple(c[0] for c in combo)
-        miss = tuple(c[1] for c in combo)
-        after = tuple(c[2] for c in combo) if with_timing else None
-        out.append(SimChoice(slots, miss, after))
-    return out
+    menu = _index_menu(num_slots, with_timing)
+    choices = (_combined_choice(combo, with_timing) for combo in itertools.product(menu, repeat=k))
+    return [c for c in choices if c is not None]
 
 
 def sample_sim_choice(num_slots: int, k: int, with_timing: bool, rng) -> SimChoice:
     """Uniform over the constrained set, by rejection from the product menu."""
-    m = options_per_index(num_slots, with_timing)
+    menu = _index_menu(num_slots, with_timing)
     while True:
-        picks = [int(v) for v in rng.integers(0, m, size=k)]
-        decoded = []
-        for p in picks:
-            if p == 0:
-                decoded.append((None, None, None))
-            elif with_timing:
-                s, rem = divmod(p - 1, 4)
-                decoded.append((s + 1, rem >> 1, rem & 1))
-            else:
-                s, rem = divmod(p - 1, 2)
-                decoded.append((s + 1, rem, None))
-        live = [d[0] for d in decoded if d[0] is not None]
-        if len(set(live)) != len(live):
-            continue
-        return SimChoice(
-            tuple(d[0] for d in decoded),
-            tuple(d[1] for d in decoded),
-            tuple(d[2] for d in decoded) if with_timing else None,
-        )
-
-
-class StatefulOracle:
-    """A permutation or cipher oracle whose table is edited as the simulation
-    proceeds.
-
-    The log of edits replays from the starting table to the current one;
-    trigger tests and the trace output read it.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.current = base
-        self.log: list[tuple[int, ...]] = []
-
-    def reprogram(self, *edit: int) -> None:
-        self.current = self.current.reprogram(*edit)
-        self.log.append(edit)
-
-    def replay(self):
-        return functools.reduce(lambda oracle, edit: oracle.reprogram(*edit), self.log, self.base)
+        picks = rng.integers(0, len(menu), size=k).tolist()
+        choice = _combined_choice([menu[p] for p in picks], with_timing)
+        if choice is not None:
+            return choice
 
 
 class ClassicalAdversary:
@@ -221,7 +188,7 @@ class _ClassicalSimState:
     def __init__(self, base, target, choice, budget, trace):
         self.base = base
         self.target = target
-        self.oracle = StatefulOracle(base)
+        self.current = base
         self.arity = 2 if isinstance(base, Cipher) else 1
         self.slot_map = choice.slot_map()
         self.miss_flags = choice.miss_flags
@@ -240,10 +207,10 @@ class _ClassicalSimState:
         edit = None
         if j is not None:
             edit = _reprogram_edit(tag, self.miss_flags[j], point, self.base, self.target)
-            self.oracle.reprogram(*edit)
+            self.current = self.current.reprogram(*edit)
         if self.trace is not None:
             self.trace.append(_trace_entry(self.count, tag, point, edit, "before"))
-        oracle = self.oracle.current
+        oracle = self.current
         return oracle.forward(*point) if tag == FORWARD else oracle.backward(*point)
 
 
@@ -303,6 +270,14 @@ class QuantumAdversary:
             out[(xs, z)] = out.get((xs, z), 0.0) + p
         return out
 
+    def sample_output(self, state: StateVector, rng) -> tuple[tuple, tuple]:
+        """One measured (xs, z), drawn from the output registers of `state`."""
+        outcome, _ = sample_measurement(state, self.x_regs + self.z_regs, rng)
+        if not isinstance(outcome, tuple):
+            outcome = (outcome,)
+        kx = len(self.x_regs)
+        return tuple(outcome[:kx]), tuple(outcome[kx:])
+
 
 def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                     mode: str = "exact", rng=None, trace: Optional[list] = None):
@@ -310,9 +285,12 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
 
     A circuit with a key register runs against a cipher and measures the
     (key, query) register pair jointly at a guessed slot; one without runs
-    against a permutation.  exact mode branches over every measurement
-    outcome and returns the full distribution over ((xs), (z)); sample mode
-    draws one trajectory, filling `trace` if given, and returns one (xs, z).
+    against a permutation.  One walk over the slots serves both modes:
+    exact mode branches over every measurement outcome and returns the full
+    distribution over ((xs), (z)); sample mode draws one outcome at each
+    guessed slot, in slot order, then one output, and returns one (xs, z).
+    `trace`, if given, receives one record per visited slot; in exact mode
+    that is every slot of every branch, in depth-first branch order.
     """
     circuit = adv.circuit
     if any(s is not None and s > circuit.num_slots for s in choice.slots):
@@ -322,66 +300,50 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     require_oracle_key(base, circuit.key)
     measured_regs = circuit.query_registers()
     slot_map = choice.slot_map()
-
-    def query(state, oracle, tag):
-        return apply_oracle(state, oracle, tag, circuit.query, circuit.response,
-                            key=circuit.key)
-
-    def answer_guess(state, current, tag, j, point):
-        """Edit the oracle at a guessed slot and answer before or after the
-        edit; returns (answered state, edited oracle, edit)."""
-        edit = _reprogram_edit(tag, choice.miss_flags[j], point, base, target)
-        updated = current.reprogram(*edit)
-        answerer = current if choice.after_flags[j] else updated
-        return query(state, answerer, tag), updated, edit
-
     if mode == "exact":
-        dist: dict = {}
+        def outcomes(state):
+            return measurement_branches(state, measured_regs)
+    elif mode == "sample":
+        if rng is None:
+            raise DomainError("sample mode needs an rng")
 
-        def walk(state, current, i):
-            if i > circuit.num_slots:
-                for key, p in adv.output_distribution(state).items():
-                    dist[key] = dist.get(key, 0.0) + p
-                return
-            tag = circuit.slot_tags[i - 1]
-            j = slot_map.get(i)
-            if j is None:
-                walk(circuit.unitaries[i].apply(query(state, current, tag)), current, i + 1)
-                return
-            for value, sub in measurement_branches(state, measured_regs):
-                point = (value,) if circuit.key is None else value
-                answered, updated, _ = answer_guess(sub, current, tag, j, point)
-                walk(circuit.unitaries[i].apply(answered), updated, i + 1)
-
-        walk(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, 1)
-        return dist
-
-    if mode != "sample":
+        def outcomes(state):
+            return (sample_measurement(state, measured_regs, rng),)
+    else:
         raise DomainError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise DomainError("sample mode needs an rng")
-    state = circuit.unitaries[0].apply(zero_state(circuit.regs))
-    current = base
-    for i in range(1, circuit.num_slots + 1):
-        tag = circuit.slot_tags[i - 1]
-        j = slot_map.get(i)
-        point = edit = when = None
-        if j is None:
-            state = query(state, current, tag)
-        else:
-            value, state = sample_measurement(state, measured_regs, rng)
+
+    def final_states(state, current, i):
+        """The final state of each branch from slot i on, depth first."""
+        while i <= circuit.num_slots and i not in slot_map:
+            tag = circuit.slot_tags[i - 1]
+            if trace is not None:
+                trace.append(_trace_entry(i, tag, None, None, None))
+            state = circuit.unitaries[i].apply(apply_oracle(
+                state, current, tag, circuit.query, circuit.response, key=circuit.key))
+            i += 1
+        if i > circuit.num_slots:
+            yield state
+            return
+        tag, j = circuit.slot_tags[i - 1], slot_map[i]
+        after = choice.after_flags[j]
+        for value, sub in outcomes(state):
             point = (value,) if circuit.key is None else value
-            state, current, edit = answer_guess(state, current, tag, j, point)
-            when = "after" if choice.after_flags[j] else "before"
-        if trace is not None:
-            trace.append(_trace_entry(i, tag, point, edit, when))
-        state = circuit.unitaries[i].apply(state)
-    names = adv.x_regs + adv.z_regs
-    outcome, _ = sample_measurement(state, names, rng)
-    if not isinstance(outcome, tuple):
-        outcome = (outcome,)
-    kx = len(adv.x_regs)
-    return tuple(outcome[:kx]), tuple(outcome[kx:])
+            edit = _reprogram_edit(tag, choice.miss_flags[j], point, base, target)
+            updated = current.reprogram(*edit)
+            answered = apply_oracle(sub, current if after else updated, tag, circuit.query,
+                                    circuit.response, key=circuit.key)
+            if trace is not None:
+                trace.append(_trace_entry(i, tag, point, edit, "after" if after else "before"))
+            yield from final_states(circuit.unitaries[i].apply(answered), updated, i + 1)
+
+    final = final_states(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, 1)
+    if mode == "sample":
+        return adv.sample_output(next(final), rng)
+    dist: dict = {}
+    for state in final:
+        for key, p in adv.output_distribution(state).items():
+            dist[key] = dist.get(key, 0.0) + p
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,34 @@ def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
     assert "19180800 cases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-lifting", "--kind", "interactive", "--game", "output-guess"],
+    ["verify-lifting", "--kind", "quantum"],
+    ["verify-decomposition"],
+])
+def test_no_adversary_within_q_is_a_config_error(args, capsys):
+    # every adversary makes at least one query, so --q 0 leaves none to certify
+    assert run_cli(args + ["--n", "4", "--q", "0"]) == EXIT_CONFIG
+    assert "--q 0" in capsys.readouterr().err
+
+
+def test_verify_decomposition_cost_counts_tuples_pairs_and_choices(monkeypatch, capsys):
+    # P(4, 2) marked tuples * 4!^2 pairs * (4 * 2 - 1)^2 choices at q=1, k=2;
+    # the pairs alone (576) passed a ceiling of 600.
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 600)
+    monkeypatch.setattr(cli, "quantum_battery", lambda n: [])
+    assert run_cli(["verify-decomposition", "--n", "4", "--k", "2", "--q", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "338688 cases" in err and "ceiling 600" in err
+
+
+def test_verify_decomposition_rejects_monte_carlo(monkeypatch, capsys):
+    # with no adversaries, a sweep that ran anyway would exit 0 at once
+    monkeypatch.setattr(cli, "quantum_battery", lambda n: [])
+    assert run_cli(["verify-decomposition", "--n", "4", "--mode", "monte-carlo"]) == EXIT_CONFIG
+    assert "--mode monte-carlo" in capsys.readouterr().err
+
+
 def test_verify_lifting_unknown_game():
     assert run_cli(["verify-lifting", "--game", "nope", "--n", "4"]) == EXIT_CONFIG
 

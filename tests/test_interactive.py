@@ -4,6 +4,7 @@ import pytest
 
 from permlift.battery import qa_value_reporter
 from permlift.circuits import BACKWARD, CircuitBuilder
+from permlift.errors import ProtocolError
 from permlift.games import relation_fixed_point, relation_output_guess
 from permlift.interactive import (
     AcceptAllChallenger,
@@ -48,8 +49,13 @@ def test_empty_transcript_against_expecting_challenger_rejects():
     ch = OneWayChallenger(1)
     pi = Permutation.identity(4)
     _, honest = run_game(ch, pi, [1])
+    assert ver_view(ch, honest)
     empty = View(honest.xs, honest.ys, ())
     assert not ver_view(ch, empty)
+    extra_message = View(honest.xs, honest.ys, honest.transcript + (("A", 1),))
+    assert not ver_view(ch, extra_message)
+    swapped_tags = tuple(({"A": "C", "C": "A"}[tag], msg) for tag, msg in honest.transcript)
+    assert not ver_view(ch, View(honest.xs, honest.ys, swapped_tags))
 
 
 def test_wrong_query_value_rejects():
@@ -58,6 +64,29 @@ def test_wrong_query_value_rejects():
     _, honest = run_game(ch, pi, [2])
     forged = View((3,), honest.ys, honest.transcript)
     assert not ver_view(ch, forged)
+    extra_query = View(honest.xs + (0,), honest.ys + (pi(0),), honest.transcript)
+    assert not ver_view(ch, extra_query)
+
+
+class OverBudgetChallenger(Challenger):
+    """Queries twice on a budget of one."""
+
+    query_budget = 1
+    name = "over-budget"
+
+    def program(self):
+        first = yield ("query", 0)
+        second = yield ("query", 1)
+        return first != second
+
+
+def test_view_over_the_query_budget_rejects():
+    ch = OverBudgetChallenger()
+    pi = Permutation([2, 0, 3, 1])
+    with pytest.raises(ProtocolError):
+        run_game(ch, pi, [])
+    # the view a live game refuses to produce is no accepted view either
+    assert not ver_view(ch, View((0, 1), (pi(0), pi(1)), ()))
 
 
 def test_determinism_of_ver_view():

@@ -26,7 +26,6 @@ from permlift.simulators import (
     ClassicalAdversary,
     QuantumAdversary,
     SimChoice,
-    StatefulOracle,
     build_lifted_adversary,
     choice_count,
     options_per_index,
@@ -165,14 +164,6 @@ def test_classical_choice_slot_range_checked():
                           SimChoice((2,), (0,)))
 
 
-def test_stateful_oracle_log_replays():
-    oracle = StatefulOracle(Permutation.identity(4))
-    oracle.reprogram(0, 2)
-    oracle.reprogram(1, 3)
-    assert oracle.replay() == oracle.current
-    assert oracle.log == [(0, 2), (1, 3)]
-
-
 # ---------------------------------------------------------------------------
 # Reprogramming trigger (the hit/miss bullet cases fire the marked pair)
 
@@ -272,6 +263,32 @@ def test_quantum_exact_total_probability_one():
         for choice in sim_choice_space(adv.circuit.num_slots, 1, True):
             dist = run_quantum_sim(adv, base, target, choice, mode="exact")
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_trace_has_one_record_per_visited_slot_depth_first():
+    b = CircuitBuilder((("q", 2), ("r", 2)))
+    b.hadamard("q")
+    b.oracle(FORWARD)
+    b.oracle(BACKWARD)
+    adv = QuantumAdversary(b.build(), x_regs=("q",), z_regs=("r",), name="h-probe")
+    base, target = Permutation.identity(2), Permutation([1, 0])
+    choice = SimChoice((1,), (HIT,), (0,))
+    trace = []
+    run_quantum_sim(adv, base, target, choice, mode="exact", trace=trace)
+    unguessed = {"slot": 2, "direction": BACKWARD, "measured": None, "reprogram": None,
+                 "when": None}
+    # both branches of the measured slot 1, each followed by its own slot 2
+    assert trace == [
+        {"slot": 1, "direction": FORWARD, "measured": 0, "reprogram": [0, 1], "when": "before"},
+        unguessed,
+        {"slot": 1, "direction": FORWARD, "measured": 1, "reprogram": [1, 0], "when": "before"},
+        unguessed,
+    ]
+    for seed in range(4):
+        sampled = []
+        run_quantum_sim(adv, base, target, choice, mode="sample",
+                        rng=np.random.default_rng(seed), trace=sampled)
+        assert sampled in (trace[:2], trace[2:])
 
 
 def test_quantum_sample_agrees_with_exact_statistics():
