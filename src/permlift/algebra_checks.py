@@ -42,7 +42,8 @@ class CheckResult:
 
 def _perm_table(n: int) -> np.ndarray:
     if n > ALGEBRA_CEILING:
-        raise CapabilityError(f"exhaustive algebra checks stop at n <= {ALGEBRA_CEILING}")
+        raise CapabilityError(f"exhaustive algebra checks over {n}! = {math.factorial(n)} "
+                              f"permutations exceed the ceiling n <= {ALGEBRA_CEILING}")
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 

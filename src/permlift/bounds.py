@@ -175,7 +175,8 @@ def p_max_bound(rel: HashRelation, kind: str) -> Fraction:
         if rel.k != 1:
             raise PreconditionError("k1 bound needs a k=1 relation")
         if rel.in_bits + rel.out_bits > 22:
-            raise CapabilityError("input/output grid too large to enumerate")
+            raise CapabilityError(f"input/output grid of {1 << (rel.in_bits + rel.out_bits)} "
+                                  f"cells exceeds the ceiling {1 << 22}")
         best = Fraction(0)
         for x in range(1 << rel.in_bits):
             hits = sum(1 for y in range(n_out) if rel.pred((x,), (y,)))
@@ -183,7 +184,8 @@ def p_max_bound(rel: HashRelation, kind: str) -> Fraction:
         return 2 * best
     if kind == "output_only":
         if rel.k * rel.out_bits > 16:
-            raise CapabilityError("output tuple space too large to enumerate")
+            raise CapabilityError(f"output tuple space of {1 << (rel.k * rel.out_bits)} "
+                                  f"tuples exceeds the ceiling {1 << 16}")
         xs = tuple(range(rel.k))
         hits = 0
         for ys in itertools.product(range(n_out), repeat=rel.k):

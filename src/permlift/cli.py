@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,100 +50,72 @@ EXIT_CONFIG = 2
 EXHAUSTIVE_CEILING = 10_000_000
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    n: tuple[int, ...] = (4,)
-    q: int = 1
-    k: int = 1
-    seed: int = 0
-    mode: str = "exhaustive"
-    trials: int = 100_000
-    game: str = "fixed-point"
-    out: Optional[str] = None
-    trace: Optional[str] = None
-    kind: str = "quantum"
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "n": list(self.n), "q": self.q,
-            "k": self.k, "seed": self.seed, "mode": self.mode,
-            "trials": self.trials, "game": self.game, "kind": self.kind,
-        }
-
-    def require_lift_enumerable(self, slots: int, with_timing: bool) -> None:
-        """Exact lifting runs the simulator once per target x base x choice."""
-        choices = choice_count(slots, self.k, with_timing)
-        self.require_enumerable(permutation_count(self.n[0]) ** 2 * choices)
-
-    def require_enumerable(self, cost: int) -> None:
-        if self.mode == "exhaustive" and cost > EXHAUSTIVE_CEILING:
-            raise CapabilityError(
-                f"exhaustive enumeration of {cost} cases exceeds the ceiling "
-                f"{EXHAUSTIVE_CEILING}; use monte-carlo mode"
-            )
+def require_enumerable(cost: int) -> None:
+    if cost > EXHAUSTIVE_CEILING:
+        raise CapabilityError(
+            f"exhaustive enumeration of {cost} cases exceeds the ceiling "
+            f"{EXHAUSTIVE_CEILING}; use monte-carlo mode"
+        )
 
 
-def _within_q(adversaries: list, config: ExperimentConfig) -> list:
+def _within_q(adversaries: list, q: int) -> list:
     """The adversaries that fit --q; none fitting is an error, not a vacuous pass."""
     if not adversaries:
-        raise DomainError(f"no adversary fits --q {config.q}")
+        raise DomainError(f"no adversary fits --q {q}")
     return adversaries
 
 
-def _finish(config: ExperimentConfig, results: list, started: float) -> tuple[dict, int]:
+def _finish(args: argparse.Namespace, results: list, started: float,
+            out: Optional[str]) -> int:
+    """Write the report to `out`, or stdout; its config is every flag the command
+    read except where the report goes, so the report is the same wherever it lands."""
     ok = all(r.get("ok", r.get("holds", False)) for r in results)
     report = {
-        "config": config.to_dict(),
+        "config": {key: value for key, value in vars(args).items() if key != "out"},
         "results": results,
         "pass": ok,
         "wall_clock_s": round(time.time() - started, 3),
     }
-    if config.out:
-        with open(config.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
     else:
         json.dump(report, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
-    return report, EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_verify_algebra(config: ExperimentConfig) -> tuple[dict, int]:
+def cmd_verify_algebra(args: argparse.Namespace) -> int:
     started = time.time()
     results = []
-    for n in config.n:
-        results.append(algebra_checks.check_inverse_law(n, config.k).to_dict())
+    for n in args.n:
+        results.append(algebra_checks.check_inverse_law(n, args.k).to_dict())
         if n <= 5:
             # the pointwise suites enumerate pairs of permutations
-            for k in range(2, min(config.k, 3) + 1):
+            for k in range(2, min(args.k, 3) + 1):
                 results.append(algebra_checks.check_commutativity(n, k).to_dict())
-            results.append(algebra_checks.check_good_closed_form(n, min(config.k, 2)).to_dict())
-            results.append(algebra_checks.check_hit_miss_form(n, min(config.k, 2)).to_dict())
-            results.append(algebra_checks.check_partial_reprogramming(n, min(config.k, 2)).to_dict())
-        results.append(algebra_checks.check_bad_probability(n, min(config.k, 2)).to_dict())
+            results.append(algebra_checks.check_good_closed_form(n, min(args.k, 2)).to_dict())
+            results.append(algebra_checks.check_hit_miss_form(n, min(args.k, 2)).to_dict())
+            results.append(algebra_checks.check_partial_reprogramming(n, min(args.k, 2)).to_dict())
+        results.append(algebra_checks.check_bad_probability(n, min(args.k, 2)).to_dict())
     results.append(algebra_checks.check_uniformity(4).to_dict())
-    results.append(algebra_checks.check_cipher_bad_probability(2, 4, min(config.k, 2)).to_dict())
-    return _finish(config, results, started)
+    results.append(algebra_checks.check_cipher_bad_probability(2, 4, min(args.k, 2)).to_dict())
+    return _finish(args, results, started, args.out)
 
 
-def cmd_verify_decomposition(config: ExperimentConfig) -> tuple[dict, int]:
+def cmd_verify_decomposition(args: argparse.Namespace) -> int:
     started = time.time()
     results = []
-    n = config.n[0]
-    if config.mode != "exhaustive":
-        raise DomainError(f"verify-decomposition has no --mode {config.mode}; "
-                          "it enumerates every case")
+    n, q, k = args.n, args.q, args.k
     # one circuit run per component: marked tuple x base x target x choice
-    config.require_enumerable(math.perm(n, config.k) * permutation_count(n) ** 2
-                              * choice_count(2 * config.q, config.k))
-    battery = _within_q([a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * config.q],
-                        config)
+    require_enumerable(math.perm(n, k) * permutation_count(n) ** 2 * choice_count(2 * q, k))
+    battery = _within_q([a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * q], q)
     perms = list(all_permutations(n))
     for adv in battery:
         worst = 0.0
         cases = 0
         skipped = 0
-        for xs in itertools.permutations(range(n), config.k):
+        for xs in itertools.permutations(range(n), k):
             for base in perms:
                 for target in perms:
                     if not is_good_pair(base, target, xs):
@@ -159,56 +130,68 @@ def cmd_verify_decomposition(config: ExperimentConfig) -> tuple[dict, int]:
             "cases": cases, "skipped_not_good": skipped,
             "bad_fraction": bad_fraction,
             "max_residual": worst,
-            "ok": worst < 1e-9 and bad_fraction <= config.k ** 2 / n,
+            "ok": worst < 1e-9 and bad_fraction <= k ** 2 / n,
         })
-    return _finish(config, results, started)
+    return _finish(args, results, started, args.out)
 
 
-def cmd_verify_lifting(config: ExperimentConfig) -> tuple[dict, int]:
+def cmd_verify_lifting(args: argparse.Namespace) -> int:
     started = time.time()
     results = []
-    n = config.n[0]
-    if config.mode != "exhaustive" and config.kind != "quantum":
-        raise DomainError(
-            f"verify-lifting --kind {config.kind} has no --mode {config.mode}; "
-            "only --kind quantum runs monte-carlo"
-        )
-    rel = get_game(config.game, n)
-    if config.kind == "classical":
-        config.require_lift_enumerable(config.q, with_timing=False)
-        for adv in _within_q([a for a in classical_battery(n) if a.budget <= config.q], config):
-            results.append(classical_lift_exact(adv, rel, config.k).to_dict())
-    elif config.kind == "quantum":
-        config.require_lift_enumerable(2 * config.q, with_timing=True)
-        for adv in _within_q([a for a in quantum_battery(n) if a.queries <= config.q], config):
-            if config.mode == "exhaustive":
-                report = quantum_lift_exact(adv, rel, config.k)
-            else:
-                report = quantum_lift_monte_carlo(adv, rel, config.trials, config.seed, config.k)
-            results.append(report.to_dict())
-    elif config.kind == "interactive":
+    n, q, k = args.n, args.q, args.k
+    if args.mode == "monte-carlo":
+        if args.kind != "quantum":
+            raise DomainError(
+                f"verify-lifting --kind {args.kind} has no --mode {args.mode}; "
+                "only --kind quantum runs monte-carlo"
+            )
+        args.trials = getattr(args, "trials", 100_000)
+        args.seed = getattr(args, "seed", 0)
+    else:
+        for flag in ("trials", "seed"):
+            if hasattr(args, flag):
+                raise DomainError(f"verify-lifting --mode {args.mode} reads no --{flag}; "
+                                  "only --mode monte-carlo samples")
+    rel = get_game(args.game, n)
+    if args.kind == "interactive":
         qadv = qa_value_reporter(n)
-        config.require_lift_enumerable(qadv.circuit.num_slots, with_timing=True)
-        _within_q([qadv] if qadv.queries <= config.q else [], config)
+        slots = qadv.circuit.num_slots
+    else:
+        slots = q if args.kind == "classical" else 2 * q
+    if args.mode == "exhaustive":
+        # exact lifting runs the simulator once per target x base x choice
+        require_enumerable(permutation_count(n) ** 2
+                           * choice_count(slots, k, with_timing=args.kind != "classical"))
+    if args.kind == "classical":
+        for adv in _within_q([a for a in classical_battery(n) if a.budget <= q], q):
+            results.append(classical_lift_exact(adv, rel, k).to_dict())
+    elif args.kind == "quantum":
+        for adv in _within_q([a for a in quantum_battery(n) if a.queries <= q], q):
+            if args.mode == "exhaustive":
+                report = quantum_lift_exact(adv, rel, k)
+            else:
+                report = quantum_lift_monte_carlo(adv, rel, args.trials, args.seed, k)
+            results.append(report.to_dict())
+    else:
+        _within_q([qadv] if qadv.queries <= q else [], q)
         adv = OneShotAdversary(circuit_for=lambda challenge: qadv, queries=qadv.queries,
                                name="q-value-reporter")
-        report = interactive_lift_exact([RelationChallenger(rel)], adv, n, config.k, rel.name)
+        report = interactive_lift_exact([RelationChallenger(rel)], adv, n, k, rel.name)
         results.append(report.to_dict())
-    else:
-        raise DomainError(f"unknown lifting kind {config.kind!r}")
-    return _finish(config, results, started)
+    return _finish(args, results, started, args.out)
 
 
 BOUND_GRID_N = (8, 16, 64, 1024)
 BOUND_GRID_Q = (0, 1, 2, 4)
+BOUND_GAMES = ("generalized", "double-sided-zero", "fixed-point", "sponge-preimage",
+               "sponge-oneway", "sponge-collision", "sponge-multi-collision",
+               "icm-collision")
 
 
 def bound_table_rows(games: Optional[list[str]] = None) -> list[dict]:
-    """Rows for the bound-table CSV across a fixed parameter grid."""
+    """Rows for the bound-table CSV across a fixed parameter grid, kept to `games`
+    (default: all of BOUND_GAMES)."""
     rows = []
-    wanted = games or ["generalized", "double-sided-zero", "fixed-point",
-                       "sponge-preimage", "sponge-oneway", "sponge-collision",
-                       "sponge-multi-collision", "icm-collision"]
 
     def row(game, params, q, k, raw):
         rows.append({
@@ -218,117 +201,124 @@ def bound_table_rows(games: Optional[list[str]] = None) -> list[dict]:
         })
 
     for q in BOUND_GRID_Q:
-        if "generalized" in wanted:
-            for n in BOUND_GRID_N:
-                for rm in (1, 2, 4):
-                    row("generalized", f"n={n};r_max={rm}", q, 1,
-                        bounds.generalized_search_bound(q, rm, n))
-        if "double-sided-zero" in wanted:
-            for half in (1, 2, 5):
-                row("double-sided-zero", f"n_half={half}", q, 1,
-                    bounds.double_sided_zero_bound(q, half))
-        if "fixed-point" in wanted:
-            for n in BOUND_GRID_N:
-                row("fixed-point", f"n={n}", q, 1, bounds.fixed_point_bound(q, n))
+        for n in BOUND_GRID_N:
+            for rm in (1, 2, 4):
+                row("generalized", f"n={n};r_max={rm}", q, 1,
+                    bounds.generalized_search_bound(q, rm, n))
+        for half in (1, 2, 5):
+            row("double-sided-zero", f"n_half={half}", q, 1,
+                bounds.double_sided_zero_bound(q, half))
+        for n in BOUND_GRID_N:
+            row("fixed-point", f"n={n}", q, 1, bounds.fixed_point_bound(q, n))
         sponge_grid = [bounds.SpongeParams(2, 2, 1, 2), bounds.SpongeParams(2, 4, 3, 4),
                        bounds.SpongeParams(4, 4, 6, 8)]
         for sp in sponge_grid:
             params = f"r={sp.rate};c={sp.capacity};m={sp.in_bits};n={sp.out_bits}"
-            if "sponge-preimage" in wanted:
-                row("sponge-preimage", params, q, 1, bounds.sponge_preimage_bound(sp, q))
-            if "sponge-oneway" in wanted:
-                row("sponge-oneway", params, q, 1, bounds.sponge_oneway_bound(sp, q))
-            if "sponge-collision" in wanted:
-                row("sponge-collision", params, q, 2, bounds.sponge_collision_bound(sp, q))
-            if "sponge-multi-collision" in wanted:
-                row("sponge-multi-collision", params, q, 3,
-                    bounds.sponge_multi_collision_bound(sp, q, 3))
-        if "icm-collision" in wanted:
-            for nb in (3, 8, 16):
-                row("icm-collision", f"n_bits={nb}", q, 2,
-                    bounds.icm_collision_bound(nb, q))
-    return rows
+            row("sponge-preimage", params, q, 1, bounds.sponge_preimage_bound(sp, q))
+            row("sponge-oneway", params, q, 1, bounds.sponge_oneway_bound(sp, q))
+            row("sponge-collision", params, q, 2, bounds.sponge_collision_bound(sp, q))
+            row("sponge-multi-collision", params, q, 3,
+                bounds.sponge_multi_collision_bound(sp, q, 3))
+        for nb in (3, 8, 16):
+            row("icm-collision", f"n_bits={nb}", q, 2, bounds.icm_collision_bound(nb, q))
+    wanted = games or BOUND_GAMES
+    return [r for r in rows if r["game"] in wanted]
 
 
-def cmd_bound_table(config: ExperimentConfig) -> tuple[dict, int]:
+def cmd_bound_table(args: argparse.Namespace) -> int:
     started = time.time()
-    games = None if config.game in ("all", "") else config.game.split(",")
-    rows = bound_table_rows(games)
-    target = config.out or "bounds.csv"
-    with open(target, "w", newline="") as fh:
+    rows = bound_table_rows(args.game)
+    with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["game", "params", "q", "k",
                                                 "raw_bound", "clamped"])
         writer.writeheader()
         writer.writerows(rows)
-    report = {
-        "config": config.to_dict(),
-        "results": [{"name": "bound-table", "rows": len(rows), "ok": True,
-                     "csv": target}],
-        "pass": True,
-        "wall_clock_s": round(time.time() - started, 3),
-    }
-    print(json.dumps(report, indent=1, sort_keys=True))
-    return report, EXIT_OK
+    results = [{"name": "bound-table", "rows": len(rows), "ok": True, "csv": args.out}]
+    return _finish(args, results, started, None)
 
 
-def cmd_trace(config: ExperimentConfig) -> tuple[dict, int]:
-    started = time.time()
-    if config.kind not in ("classical", "quantum"):
-        raise DomainError(f"trace has no --kind {config.kind}; use classical or quantum")
-    n = config.n[0]
-    rng = np.random.default_rng(config.seed)
-    base = Permutation.random(n, rng)
-    target = Permutation.random(n, rng)
+def cmd_trace(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    base = Permutation.random(args.n, rng)
+    target = Permutation.random(args.n, rng)
     trace: list = []
-    if config.kind == "classical":
-        adv = classical_battery(n)[1]
-        choice = sample_sim_choice(adv.budget, config.k, False, rng)
-        out = run_classical_sim(adv, base, target, choice, rng=rng, trace=trace)
+    if args.kind == "classical":
+        adv = classical_battery(args.n)[1]
+        choice = sample_sim_choice(adv.budget, args.k, False, rng)
+        run_classical_sim(adv, base, target, choice, rng=rng, trace=trace)
     else:
-        adv = quantum_battery(n)[0]
-        choice = sample_sim_choice(adv.circuit.num_slots, config.k, True, rng)
-        out = run_quantum_sim(adv, base, target, choice, mode="sample",
-                              rng=rng, trace=trace)
+        adv = quantum_battery(args.n)[0]
+        choice = sample_sim_choice(adv.circuit.num_slots, args.k, True, rng)
+        run_quantum_sim(adv, base, target, choice, mode="sample", rng=rng, trace=trace)
     lines = [json.dumps(entry, sort_keys=True) for entry in trace]
-    if config.trace:
-        with open(config.trace, "w") as fh:
+    if args.trace:
+        with open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)
-    report = {
-        "config": config.to_dict(),
-        "results": [{"name": "trace", "ok": True, "output": list(out),
-                     "entries": len(lines)}],
-        "pass": True,
-        "wall_clock_s": round(time.time() - started, 3),
-    }
-    return report, EXIT_OK
+    return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+def _bound_games(text: str) -> list[str]:
+    """argparse type: 'all' or a comma-separated list of BOUND_GAMES."""
+    if text == "all":
+        return list(BOUND_GAMES)
+    names = text.split(",")
+    for name in names:
+        if name not in BOUND_GAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown game {name!r}; use 'all' or names from {', '.join(BOUND_GAMES)}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the flags that command reads,
+    so argparse rejects any other flag."""
     parser = argparse.ArgumentParser(
         prog="permlift",
         description="certification runs for the reprogramming and lifting toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-algebra", "verify-decomposition", "verify-lifting",
-                 "bound-table", "trace"):
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, nargs="+", default=[4])
-        p.add_argument("--q", type=int, default=1)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("exhaustive", "monte-carlo"),
-                       default="exhaustive")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--game", default="fixed-point")
-        p.add_argument("--out", default=None)
-        p.add_argument("--trace", default=None)
-        p.add_argument("--kind", choices=("classical", "quantum", "interactive"),
-                       default="quantum")
-        if name == "bound-table":
-            p.set_defaults(game="all")
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    n = {"type": _at_least(1), "default": 4}
+    q = {"type": _at_least(0), "default": 1}
+    k = {"type": _at_least(0), "default": 1}
+    out = {"default": None}
+    kinds = ("classical", "quantum")
+    flags = {
+        "verify-algebra": {"n": {**n, "nargs": "+", "default": [4]}, "k": k, "out": out},
+        "verify-decomposition": {"n": n, "q": q, "k": k, "out": out},
+        "verify-lifting": {
+            "n": n, "q": q, "k": k,
+            "kind": {"choices": kinds + ("interactive",), "default": "quantum"},
+            "game": {"default": "fixed-point"},
+            "mode": {"choices": ("exhaustive", "monte-carlo"), "default": "exhaustive"},
+            # absent unless given, so an exhaustive run can reject them
+            "trials": {"type": int, "default": argparse.SUPPRESS,
+                       "help": "monte-carlo only (default 100000)"},
+            "seed": {"type": int, "default": argparse.SUPPRESS,
+                     "help": "monte-carlo only (default 0)"},
+            "out": out,
+        },
+        "bound-table": {"game": {"type": _bound_games, "default": "all"},
+                        "out": {"default": "bounds.csv"}},
+        "trace": {"n": n, "k": k, "seed": {"type": int, "default": 0},
+                  "kind": {"choices": kinds, "default": "quantum"}, "trace": out},
+    }
+    for name, specs in flags.items():
+        command = sub.add_parser(name)
+        for flag, spec in specs.items():
+            command.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -342,18 +332,15 @@ COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        experiment=args.command, n=tuple(args.n), q=args.q, k=args.k,
-        seed=args.seed, mode=args.mode, trials=args.trials, game=args.game,
-        out=args.out, trace=args.trace, kind=args.kind,
-    )
     try:
-        _, code = COMMANDS[args.command](config)
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2 on a bad flag, 0 after --help
+        return stop.code
+    try:
+        return COMMANDS[args.experiment](args)
     except (CapabilityError, DomainError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    return code
 
 
 if __name__ == "__main__":

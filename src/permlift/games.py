@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -104,7 +105,8 @@ def r_max(rel: Relation) -> int:
     if rel.k != 1 or rel.zspace != Z_TRIVIAL:
         raise CapabilityError("r_max is defined for k=1 relations without z")
     if rel.n > 4096:
-        raise CapabilityError(f"r_max enumeration over {rel.n}^2 cells is too large")
+        raise CapabilityError(f"r_max enumeration over {rel.n}^2 = {rel.n ** 2} cells "
+                              "exceeds the ceiling n <= 4096")
     rows = [0] * rel.n
     cols = [0] * rel.n
     for x in range(rel.n):
@@ -127,7 +129,8 @@ def best_k_classical(rel: Relation, k: int, budget: int = 2_000_000) -> Fraction
     """
     n = rel.n
     if n > 6:
-        raise CapabilityError(f"{n}! strategy enumeration is beyond desk scale")
+        raise CapabilityError(f"strategy enumeration over {n}! = {math.factorial(n)} "
+                              "permutations exceeds the ceiling n <= 6")
     perms = list(itertools.permutations(range(n)))
     outputs = list(itertools.permutations(range(n), rel.k))
     nodes = 0

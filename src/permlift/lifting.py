@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .circuits import run_circuit
+from .errors import PreconditionError
 from .games import Relation
 from .perms import Permutation, all_permutations
 from .simulators import (
@@ -182,6 +183,8 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
                              seed: int, k: int = 1) -> LiftReport:
     """Seeded estimate of both sides; the lifted side runs the object that
     build_lifted_adversary returns, whose k-query budget every run checks."""
+    if trials < 1:
+        raise PreconditionError(f"monte-carlo lifting needs trials >= 1, got {trials}")
     n = rel.n
     rng_a, rng_b = np.random.default_rng(seed).spawn(2)
     wins_a = 0

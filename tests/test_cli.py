@@ -1,23 +1,25 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from permlift import algebra_checks, cli
+from permlift import algebra_checks, bounds, cli, games
 from permlift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VIOLATION,
-    ExperimentConfig,
+    build_parser,
     cmd_bound_table,
     cmd_trace,
     cmd_verify_algebra,
     cmd_verify_lifting,
     main,
 )
+from permlift.errors import CapabilityError
 
 
 def run_cli(args):
@@ -77,7 +79,8 @@ def test_verify_lifting_rejects_monte_carlo_for_exact_only_kinds(kind, capsys):
 
 def test_trace_rejects_interactive_kind(capsys):
     assert run_cli(["trace", "--kind", "interactive", "--n", "4", "--seed", "7"]) == EXIT_CONFIG
-    assert "--kind interactive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --kind: invalid choice: 'interactive'" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -157,7 +160,7 @@ def test_report_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
         code = run_cli(["verify-decomposition", "--n", "4", "--q", "1",
-                        "--seed", "5", "--out", str(target)])
+                        "--out", str(target)])
         assert code == EXIT_OK
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     ra.pop("wall_clock_s"), rb.pop("wall_clock_s")
@@ -171,3 +174,125 @@ def test_entry_point_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-lifting", "--mode", "monte-carlo", "--trials", "200", "--out"],
+    ["trace", "--kind", "quantum", "--n", "4", "--trace"],
+])
+def test_seeded_output_determinism(args, tmp_path):
+    # the same --seed gives the same output, and another seed another one
+    texts = {}
+    for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+        target = tmp_path / name
+        assert run_cli(args[:-1] + ["--seed", seed, args[-1], str(target)]) == EXIT_OK
+        lines = target.read_text().splitlines()
+        texts[name] = [line for line in lines if '"wall_clock_s"' not in line]
+    assert texts["a"] == texts["b"]
+    assert texts["a"] != texts["c"]
+
+
+READS = {
+    "verify-algebra": {"--n", "--k", "--out"},
+    "verify-decomposition": {"--n", "--q", "--k", "--out"},
+    "verify-lifting": {"--n", "--q", "--k", "--kind", "--game", "--mode", "--trials",
+                       "--seed", "--out"},
+    "bound-table": {"--game", "--out"},
+    "trace": {"--n", "--k", "--seed", "--kind", "--trace"},
+}
+VALUES = {"--n": "4", "--q": "1", "--k": "1", "--seed": "0", "--mode": "exhaustive",
+          "--trials": "10", "--game": "fixed-point", "--kind": "quantum",
+          "--out": "written", "--trace": "written"}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert declared == READS
+    assert sum(len(flags) for flags in declared.values()) == 23
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, reads in READS.items()
+    for flag in sorted(set(VALUES) - reads)
+])
+def test_a_flag_the_command_does_not_read_exits_two(command, flag, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([command, flag, VALUES[flag]]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {VALUES[flag]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "--out", "t.json"], "unrecognized arguments: --out t.json"),
+    (["bound-table", "--n", "99", "--q", "7", "--k", "5"],
+     "unrecognized arguments: --n 99 --q 7 --k 5"),
+    (["verify-lifting", "--trace", "x.jsonl"], "unrecognized arguments: --trace x.jsonl"),
+    (["verify-algebra", "--mode", "monte-carlo"],
+     "unrecognized arguments: --mode monte-carlo"),
+    (["verify-decomposition", "--kind", "classical"],
+     "unrecognized arguments: --kind classical"),
+    (["verify-lifting", "--n", "4", "5"], "unrecognized arguments: 5"),
+    (["verify-decomposition", "--n", "4", "5"], "unrecognized arguments: 5"),
+    (["trace", "--n", "4", "5"], "unrecognized arguments: 5"),
+    # only monte-carlo samples, so an exhaustive run reads neither
+    (["verify-lifting", "--trials", "10"], "--mode exhaustive reads no --trials"),
+    (["verify-lifting", "--mode", "exhaustive", "--seed", "5"],
+     "--mode exhaustive reads no --seed"),
+])
+def test_flags_that_would_go_unread_exit_two(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["verify-algebra", "--n", "0"], "--n", "0"),
+    (["verify-decomposition", "--n", "-2"], "--n", "-2"),
+    (["verify-lifting", "--q", "-1"], "--q", "-1"),
+    (["verify-lifting", "--k", "-1"], "--k", "-1"),
+    (["trace", "--k", "-3"], "--k", "-3"),
+])
+def test_out_of_range_counts_exit_two(argv, flag, value, capsys):
+    assert run_cli(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= " in err and f"got {value}" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_monte_carlo_without_a_trial_exits_two(trials, capsys):
+    code = run_cli(["verify-lifting", "--mode", "monte-carlo", "--trials", trials])
+    assert code == EXIT_CONFIG
+    assert f"trials >= 1, got {trials}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game,bad", [("nope", "nope"), ("fixed-point,typo", "typo")])
+def test_bound_table_rejects_an_unknown_game(game, bad, tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bound-table", "--game", game, "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown game {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+    # the names --game accepts are the games the table has rows for
+    assert {row["game"] for row in cli.bound_table_rows()} == set(cli.BOUND_GAMES)
+
+
+@pytest.mark.parametrize("call,cost,ceiling", [
+    (lambda: algebra_checks.check_inverse_law(8, 1), "40320", "n <= 7"),
+    (lambda: games.best_k_classical(games.relation_fixed_point(7), 1), "5040", "n <= 6"),
+    (lambda: games.r_max(games.relation_fixed_point(5000)), "25000000", "n <= 4096"),
+    (lambda: bounds.p_max_bound(bounds.empty_hash_relation(12, 11), "k1"),
+     "8388608", "ceiling 4194304"),
+    (lambda: bounds.p_max_bound(bounds.multi_collision_relation(2, 9, 2), "output_only"),
+     "262144", "ceiling 65536"),
+])
+def test_ceiling_errors_name_the_ceiling_and_the_cost(call, cost, ceiling):
+    with pytest.raises(CapabilityError) as err:
+        call()
+    assert cost in str(err.value) and ceiling in str(err.value)

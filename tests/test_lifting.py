@@ -151,6 +151,16 @@ def test_quantum_monte_carlo_enforces_the_lifted_budget(monkeypatch):
                                  trials=200, seed=3)
 
 
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_quantum_monte_carlo_needs_a_trial(trials):
+    # 0 trials divided by zero; a negative count ran none and reported a pass
+    from permlift.errors import PreconditionError
+
+    with pytest.raises(PreconditionError, match=f"got {trials}"):
+        quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
+                                 trials=trials, seed=3)
+
 def _lifted_monte_carlo(adv, rel, trials, seed):
     """Win rate of the object build_lifted_adversary(adv, 1) returns, run
     against uniformly random targets."""
