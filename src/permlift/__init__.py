@@ -44,6 +44,7 @@ from .games import (
 )
 from .perms import (
     HitMiss,
+    PartialPermutation,
     Permutation,
     all_permutations,
     bad_probability_bound,

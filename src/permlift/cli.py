@@ -38,6 +38,7 @@ from .perms import Permutation, all_permutations, is_good_pair, permutation_coun
 from .simulators import (
     choice_count,
     decomposition_residual,
+    forked_walk_count,
     run_classical_sim,
     run_quantum_sim,
     sample_sim_choice,
@@ -107,6 +108,9 @@ def cmd_verify_decomposition(args: argparse.Namespace) -> int:
     started = time.time()
     results = []
     n, q, k = args.n, args.q, args.k
+    if k > n:
+        raise DomainError(f"--k {k} exceeds --n {n}: there is no tuple of {k} distinct "
+                          f"marked inputs out of {n}")
     # one circuit run per component: marked tuple x base x target x choice
     require_enumerable(math.perm(n, k) * permutation_count(n) ** 2 * choice_count(2 * q, k))
     battery = _within_q([a for a in quantum_battery(n) if a.circuit.num_slots <= 2 * q], q)
@@ -158,7 +162,11 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
         slots = qadv.circuit.num_slots
     else:
         slots = q if args.kind == "classical" else 2 * q
-    if args.mode == "exhaustive":
+    if args.mode == "exhaustive" and args.kind == "quantum":
+        # one circuit run per target, then per base the walks of every choice,
+        # forked at each lazy target read
+        require_enumerable(permutation_count(n) * (1 + forked_walk_count(slots, k, n)))
+    elif args.mode == "exhaustive":
         # exact lifting runs the simulator once per target x base x choice
         require_enumerable(permutation_count(n) ** 2
                            * choice_count(slots, k, with_timing=args.kind != "classical"))

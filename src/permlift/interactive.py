@@ -235,7 +235,7 @@ def real_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
         return adversary_runners(adv.circuit_for(challenge_messages(ch, target))).run(target)
 
     total, count = exact_mean(itertools.product(all_permutations(n), instances), outcomes,
-                              lambda case, xs, z: run_game(case[1], case[0], [(xs, z)])[0])
+                              lambda case, outcome: run_game(case[1], case[0], [outcome])[0])
     return total / count
 
 
@@ -257,9 +257,9 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
                 for base, choice in itertools.product(perms, runners.choices(k)):
                     yield target, ch, runners, base, choice
 
-    def accept(case, xs, z):
+    def accept(case, outcome):
         target, ch = case[:2]
-        _, view = run_game(ch, target, [(xs, z)])
+        _, view = run_game(ch, target, [outcome])
         return ver_view(ch, View(view.xs, tuple(target.forward(x) for x in view.xs),
                                  view.transcript))
 

@@ -5,12 +5,14 @@ with probability at least (1 - k^2/n) / (2q+1)^k (classical) or
 (1 - k^2/n) / (8q+1)^(2k) (quantum) times A's winning probability.  At desk
 scale both sides are computed as exact expectations over every permutation,
 every internal permutation, every simulator choice, and every measurement
-branch; beyond that a seeded Monte Carlo estimate with a 3-sigma margin is
-used.
+branch (a quantum simulator reads the target lazily instead of running once
+per target); beyond that a seeded Monte Carlo estimate with a 3-sigma margin
+is used.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -24,7 +26,7 @@ import numpy as np
 from .circuits import run_circuit
 from .errors import PreconditionError
 from .games import Relation
-from .perms import Permutation, all_permutations
+from .perms import PartialPermutation, Permutation, all_permutations
 from .simulators import (
     ClassicalAdversary,
     QuantumAdversary,
@@ -46,12 +48,14 @@ class LiftReport:
     q: int
     k: int
     p_adversary: float
-    p_lifted: float
+    p_lifted: Optional[float]
     factor: Fraction
     holds: bool
     exact: bool
     trials: Optional[int] = None
     sigma: Optional[float] = None
+    #: k^2 >= n: the factor is <= 0, so the verdict holds without p_lifted
+    vacuous: bool = False
 
     def to_dict(self) -> dict:
         out = {
@@ -64,6 +68,8 @@ class LiftReport:
         if self.trials is not None:
             out["trials"] = self.trials
             out["sigma"] = self.sigma
+        if self.vacuous:
+            out["vacuous"] = True
         return out
 
 
@@ -75,9 +81,9 @@ def quantum_factor(n: int, q: int, k: int) -> Fraction:
     return (1 - Fraction(k * k, n)) / Fraction(8 * q + 1) ** (2 * k)
 
 
-def _win(rel: Relation, target: Permutation, xs, z) -> bool:
-    ys = tuple(target.forward(x) for x in xs)
-    return rel.wins(xs, ys, z)
+def _win(rel: Relation, target: Permutation, outcome) -> bool:
+    xs, z = outcome
+    return rel.wins(xs, tuple(target.forward(x) for x in xs), z)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +93,20 @@ def _win(rel: Relation, target: Permutation, xs, z) -> bool:
 def exact_mean(cases: Iterable, outcomes: Callable, accept: Callable) -> tuple:
     """(sum of accepted outcome weights, number of cases) over every case.
 
-    ``outcomes(*case)`` yields ((xs, z), weight) pairs, weight 1 for a classical
-    run and the branch probability for a quantum one; ``accept(case, xs, z)``
-    tests one outcome.  Weights are summed in enumeration order.
+    ``outcomes(*case)`` yields (outcome, weight) pairs, outcome (xs, z) or
+    (xs, z, target as read) and weight 1 for a classical run or the branch
+    probability for a quantum one; ``accept(case, outcome)`` returns a bool
+    or the share of the outcome that wins, in [0, 1].  Weighted shares are
+    summed in enumeration order; a True share adds the weight unchanged.
     """
     total = 0
     count = 0
     for case in cases:
         count += 1
-        for (xs, z), weight in outcomes(*case):
-            if accept(case, xs, z):
-                total += weight
+        for outcome, weight in outcomes(*case):
+            share = accept(case, outcome)
+            if share:
+                total += weight * share
     return total, count
 
 
@@ -125,16 +134,36 @@ def _adversary_win(adv, rel: Relation):
     runners = adversary_runners(adv)
     return runners.mean(*exact_mean(((target,) for target in all_permutations(rel.n)),
                                     runners.run,
-                                    lambda case, xs, z: _win(rel, case[0], xs, z)))
+                                    lambda case, outcome: _win(rel, case[0], outcome)))
+
+
+def _completion_win(rel: Relation, outcome) -> float:
+    """The share of the completions of the partial target in `outcome` =
+    (xs, z, target) against which (xs, z) wins."""
+    xs, z, target = outcome
+    return sum(weight for ys, weight in target.completions(xs) if rel.wins(xs, ys, z))
 
 
 def _lifted_win(adv, rel: Relation, k: int):
-    """The simulator's win probability over target x base x choice."""
+    """The simulator's win probability over target x base x choice.
+
+    A quantum simulator reads the target lazily, so its cases are base x
+    choice: each outcome carries the partial target its branch read and wins
+    with its share of that target's completions.
+    """
     runners = adversary_runners(adv)
     perms = list(all_permutations(rel.n))
+    if isinstance(adv, QuantumAdversary):
+        unread = PartialPermutation(rel.n)
+        # outcomes repeat across cases, so each (xs, z, target) is scored once
+        share = functools.lru_cache(maxsize=None)(functools.partial(_completion_win, rel))
+        return runners.mean(*exact_mean(
+            itertools.product(perms, runners.choices(k)),
+            lambda base, choice: runners.sim(unread, base, choice),
+            lambda case, outcome: share(outcome)))
     return runners.mean(*exact_mean(itertools.product(perms, perms, runners.choices(k)),
                                     runners.sim,
-                                    lambda case, xs, z: _win(rel, case[0], xs, z)))
+                                    lambda case, outcome: _win(rel, case[0], outcome)))
 
 
 def classical_adversary_win_exact(adv: ClassicalAdversary, rel: Relation) -> Fraction:
@@ -146,13 +175,17 @@ def classical_lifted_win_exact(adv: ClassicalAdversary, rel: Relation, k: int) -
 
 
 def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> LiftReport:
+    """Exact classical lifting report.  When k^2 >= n the factor is <= 0, the
+    inequality holds whatever the lifted side wins, and that side is not
+    enumerated: the report is vacuous, with p_lifted None."""
     p_a = classical_adversary_win_exact(adv, rel)
-    p_b = classical_lifted_win_exact(adv, rel, k)
     factor = classical_factor(rel.n, adv.budget, k)
+    vacuous = factor <= 0
+    p_b = None if vacuous else classical_lifted_win_exact(adv, rel, k)
     return LiftReport(
         kind="classical", game=rel.name, adversary=adv.name, n=rel.n,
-        q=adv.budget, k=k, p_adversary=float(p_a), p_lifted=float(p_b),
-        factor=factor, holds=p_b >= factor * p_a, exact=True,
+        q=adv.budget, k=k, p_adversary=float(p_a), p_lifted=None if vacuous else float(p_b),
+        factor=factor, holds=vacuous or p_b >= factor * p_a, exact=True, vacuous=vacuous,
     )
 
 
@@ -165,13 +198,28 @@ def quantum_lifted_win_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -
 
 
 def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> LiftReport:
+    """Exact quantum lifting report, vacuous (p_lifted None, nothing
+    enumerated on the lifted side) when k^2 >= n makes the factor <= 0.
+
+    The inequality is tested with a slack of 1e-12 for float rounding.  Each
+    side is a float sum of N nonnegative terms (branch probabilities times
+    fork and completion weights 1/(n - m)) divided by the case count, and
+    its mean is at most 1; summing errs by at most (N - 1) * 2^-53 and each
+    term by a few 2^-53.  That worst case is 1e-11 at N ~ 1e5 (n=4) and
+    ~1e-8 at n=8, but the roundings do not align: the lazy and the
+    n!-target sums agree to 2.2e-14 on every C6 pair at n=4, and
+    basis-probe's p_lifted on fixed-point reads 1/8 - 2.2e-13 at n=8 (1/4
+    to 8e-16 at n=4).  1e-12 stays above the rounding seen and far below
+    any real margin at n <= 8.
+    """
     p_a = quantum_adversary_win_exact(adv, rel)
-    p_b = quantum_lifted_win_exact(adv, rel, k)
     factor = quantum_factor(rel.n, adv.queries, k)
+    vacuous = factor <= 0
+    p_b = None if vacuous else quantum_lifted_win_exact(adv, rel, k)
     return LiftReport(
         kind="quantum", game=rel.name, adversary=adv.name, n=rel.n,
         q=adv.queries, k=k, p_adversary=p_a, p_lifted=p_b, factor=factor,
-        holds=p_b >= float(factor) * p_a - 1e-12, exact=True,
+        holds=vacuous or p_b >= float(factor) * p_a - 1e-12, exact=True, vacuous=vacuous,
     )
 
 
@@ -190,15 +238,13 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
     wins_a = 0
     for _ in range(trials):
         target = Permutation.random(n, rng_a)
-        xs, z = adv.sample_output(run_circuit(adv.circuit, target), rng_a)
-        if _win(rel, target, xs, z):
+        if _win(rel, target, adv.sample_output(run_circuit(adv.circuit, target), rng_a)):
             wins_a += 1
     lifted = build_lifted_adversary(adv, k)
     wins_b = 0
     for _ in range(trials):
         target = Permutation.random(n, rng_b)
-        xs, z = lifted.run(target, rng_b)
-        if _win(rel, target, xs, z):
+        if _win(rel, target, lifted.run(target, rng_b)):
             wins_b += 1
     p_a = wins_a / trials
     p_b = wins_b / trials
@@ -233,7 +279,8 @@ def mr_check(adv, rel: Relation, base: Permutation, target: Permutation,
     ys = tuple(target.forward(x) for x in xs)
     runners = adversary_runners(adv)
 
-    def marked_win(case, out_xs, z):
+    def marked_win(case, outcome):
+        out_xs, z = outcome
         return out_xs == xs and rel.wins(xs, ys, z)
 
     lhs = exact_mean(((target, base, choice) for choice in runners.choices(len(xs))),

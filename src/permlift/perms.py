@@ -112,6 +112,65 @@ class Permutation:
         return cls(int(v) for v in rng.permutation(n))
 
 
+class PartialPermutation:
+    """A uniform random permutation on {0..n-1}, sampled lazily.
+
+    ``fwd`` and ``inv`` hold the m pairs read so far, and every bijection
+    that agrees with them is equally likely; a new instance has read
+    nothing.  Instances are immutable and hashable; equality is equality of
+    the known pairs.
+    """
+
+    __slots__ = ("n", "fwd", "inv", "_hash")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.fwd: dict[int, int] = {}
+        self.inv: dict[int, int] = {}
+        self._hash = hash(frozenset())
+
+    def forks(self, direction: str, v: int) -> tuple:
+        """(value, weight, extended) for each value the permutation may take at
+        v, read "forward" (pi(v)) or "backward" (pi^-1(v)): a known value has
+        weight 1 and leaves the permutation as it is; otherwise each of the
+        n - m unused values has weight 1/(n - m) and extends it by one pair."""
+        if not 0 <= v < self.n:
+            raise DomainError(f"element {v} outside 0..{self.n - 1}")
+        forward = direction == "forward"
+        known, used = (self.fwd, self.inv) if forward else (self.inv, self.fwd)
+        if v in known:
+            return ((known[v], 1, self),)
+        weight = 1 / (self.n - len(known))
+        return tuple((w, weight, self._with(v, w) if forward else self._with(w, v))
+                     for w in range(self.n) if w not in used)
+
+    def _with(self, x: int, y: int) -> "PartialPermutation":
+        """This permutation with the unread pair (x, y) added."""
+        out = object.__new__(PartialPermutation)
+        out.n = self.n
+        out.fwd = {**self.fwd, x: y}
+        out.inv = {**self.inv, y: x}
+        out._hash = hash(frozenset(out.fwd.items()))
+        return out
+
+    def completions(self, xs: Sequence[int]) -> list:
+        """(ys, weight) for each joint value of the permutation at xs, weighted
+        by its share of the completions."""
+        if not xs:
+            return [((), 1)]
+        return [((y,) + ys, w * rest) for y, w, extended in self.forks("forward", xs[0])
+                for ys, rest in extended.completions(xs[1:])]
+
+    def __eq__(self, other):
+        return isinstance(other, PartialPermutation) and (self.n, self.fwd) == (other.n, other.fwd)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"PartialPermutation({self.n}, {sorted(self.fwd.items())})"
+
+
 def reprogram(pi: Permutation, x: int, y: int) -> Permutation:
     """The minimal bijective edit of pi mapping x to y.
 

@@ -25,7 +25,7 @@ import numpy as np
 from .ciphers import Cipher
 from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit, run_with_insertions
 from .errors import DomainError, PreconditionError, ProtocolError
-from .perms import Permutation, hit_miss_queries, is_good_pair
+from .perms import PartialPermutation, Permutation, hit_miss_queries, is_good_pair
 from .qsim import (StateVector, apply_oracle, measure_distribution, measurement_branches,
                    require_oracle_key, sample_measurement, zero_state)
 
@@ -86,6 +86,12 @@ def choice_count(num_slots: int, k: int, with_timing: bool = True) -> int:
     return sum(math.comb(k, j) * math.perm(num_slots, j) * flags ** j for j in range(k + 1))
 
 
+def forked_walk_count(num_slots: int, k: int, n: int) -> int:
+    """Quantum walks per base when the target is read lazily: a choice with j
+    guessed indices reads the target j times, each read forking up to n ways."""
+    return sum(math.comb(k, j) * math.perm(num_slots, j) * (4 * n) ** j for j in range(k + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _index_menu(num_slots: int, with_timing: bool) -> tuple[tuple, ...]:
     """One index's guesses in menu order: all None, then (slot, hit/miss,
@@ -140,24 +146,27 @@ class ClassicalAdversary:
 
 
 def _reprogram_edit(tag: str, miss: int, point: tuple, base, target) -> tuple:
-    """The edit written into the oracle for one guessed query at ``point``.
+    """The edits written into the oracle for one guessed query at ``point``,
+    as (edit, weight, target) forks.
 
-    Returns (x, y) for a permutation and (key, x, y) for a cipher, whose key
-    stays the queried one.  hit/forward and hit/backward read the external
-    target directly at the query value; the miss cases route the query value
-    through the internal base table first, then through the target's
-    opposite direction.
+    An edit is (x, y) for a permutation and (key, x, y) for a cipher, whose
+    key stays the queried one.  A hit reads the external target at the query
+    value in the query's direction; a miss routes the query value through the
+    internal base table first, then reads the target in the opposite
+    direction.  A concrete target gives one fork of weight 1; a
+    :class:`PartialPermutation` target forks over the values it may take at
+    the read point, each with its weight and the target extended by it.
     """
-    key = point[:-1]
+    if miss == MISS:
+        at = base.forward(*point) if tag == FORWARD else base.backward(*point)
+        point, tag = point[:-1] + (at,), BACKWARD if tag == FORWARD else FORWARD
+    if isinstance(target, PartialPermutation):
+        (at,) = point
+        return tuple(((at, v) if tag == FORWARD else (v, at), weight, fork)
+                     for v, weight, fork in target.forks(tag, at))
     if tag == FORWARD:
-        if miss == HIT:
-            return point + (target.forward(*point),)
-        out = base.forward(*point)
-        return key + (target.backward(*key, out), out)
-    if miss == HIT:
-        return key + (target.backward(*point), point[-1])
-    pre = base.backward(*point)
-    return key + (pre, target.forward(*key, pre))
+        return ((point + (target.forward(*point),), 1, target),)
+    return ((point[:-1] + (target.backward(*point), point[-1]), 1, target),)
 
 
 def _trace_entry(slot: int, tag: str, point: Optional[tuple], edit: Optional[tuple],
@@ -206,7 +215,8 @@ class _ClassicalSimState:
         j = self.slot_map.get(self.count)
         edit = None
         if j is not None:
-            edit = _reprogram_edit(tag, self.miss_flags[j], point, self.base, self.target)
+            (edit, _, _), = _reprogram_edit(tag, self.miss_flags[j], point, self.base,
+                                            self.target)
             self.current = self.current.reprogram(*edit)
         if self.trace is not None:
             self.trace.append(_trace_entry(self.count, tag, point, edit, "before"))
@@ -289,8 +299,12 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     exact mode branches over every measurement outcome and returns the full
     distribution over ((xs), (z)); sample mode draws one outcome at each
     guessed slot, in slot order, then one output, and returns one (xs, z).
+    Exact mode also takes a :class:`PartialPermutation` target, read lazily:
+    the walk forks at each target read (see `_reprogram_edit`), and the
+    distribution is over ((xs), (z), target as read), each branch weighted
+    by its forks.  By linearity this is the expectation over uniform targets.
     `trace`, if given, receives one record per visited slot; in exact mode
-    that is every slot of every branch, in depth-first branch order.
+    that is every slot of every branch and fork, in depth-first order.
     """
     circuit = adv.circuit
     if any(s is not None and s > circuit.num_slots for s in choice.slots):
@@ -298,6 +312,7 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     if choice.after_flags is None:
         raise PreconditionError("the quantum simulator needs timing flags")
     require_oracle_key(base, circuit.key)
+    lazy = isinstance(target, PartialPermutation)
     measured_regs = circuit.query_registers()
     slot_map = choice.slot_map()
     if mode == "exact":
@@ -306,14 +321,17 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     elif mode == "sample":
         if rng is None:
             raise DomainError("sample mode needs an rng")
+        if lazy:
+            raise PreconditionError("sample mode needs a concrete target")
 
         def outcomes(state):
             return (sample_measurement(state, measured_regs, rng),)
     else:
         raise DomainError(f"unknown mode {mode!r}")
 
-    def final_states(state, current, i):
-        """The final state of each branch from slot i on, depth first."""
+    def final_states(state, current, read, weight, i):
+        """(final state, target as read, weight) of each branch from slot i
+        on, depth first."""
         while i <= circuit.num_slots and i not in slot_map:
             tag = circuit.slot_tags[i - 1]
             if trace is not None:
@@ -322,27 +340,38 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                 state, current, tag, circuit.query, circuit.response, key=circuit.key))
             i += 1
         if i > circuit.num_slots:
-            yield state
+            yield state, read, weight
             return
         tag, j = circuit.slot_tags[i - 1], slot_map[i]
         after = choice.after_flags[j]
+        unitary = circuit.unitaries[i]
         for value, sub in outcomes(state):
             point = (value,) if circuit.key is None else value
-            edit = _reprogram_edit(tag, choice.miss_flags[j], point, base, target)
-            updated = current.reprogram(*edit)
-            answered = apply_oracle(sub, current if after else updated, tag, circuit.query,
-                                    circuit.response, key=circuit.key)
-            if trace is not None:
-                trace.append(_trace_entry(i, tag, point, edit, "after" if after else "before"))
-            yield from final_states(circuit.unitaries[i].apply(answered), updated, i + 1)
+            if after:  # answered by the table before the edit, the same for every fork
+                answered = unitary.apply(apply_oracle(sub, current, tag, circuit.query,
+                                                      circuit.response, key=circuit.key))
+            for edit, fork_weight, fork in _reprogram_edit(tag, choice.miss_flags[j], point,
+                                                           base, read):
+                updated = current.reprogram(*edit)
+                if not after:
+                    answered = unitary.apply(apply_oracle(sub, updated, tag, circuit.query,
+                                                          circuit.response, key=circuit.key))
+                if trace is not None:
+                    trace.append(_trace_entry(i, tag, point, edit, "after" if after else "before"))
+                yield from final_states(answered, updated, fork, weight * fork_weight, i + 1)
 
-    final = final_states(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, 1)
+    final = final_states(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, target, 1, 1)
     if mode == "sample":
-        return adv.sample_output(next(final), rng)
+        return adv.sample_output(next(final)[0], rng)
     dist: dict = {}
-    for state in final:
-        for key, p in adv.output_distribution(state).items():
-            dist[key] = dist.get(key, 0.0) + p
+    last = None
+    for state, read, weight in final:
+        if state is not last:  # forks that differ only in the target share a state
+            last, outputs = state, adv.output_distribution(state).items()
+        for key, p in outputs:
+            if lazy:
+                key += (read,)
+            dist[key] = dist.get(key, 0.0) + p * weight
     return dist
 
 

@@ -104,6 +104,37 @@ def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
     assert "19180800 cases" in capsys.readouterr().err
 
 
+def test_verify_lifting_quantum_cost_counts_forked_walks(monkeypatch, capsys):
+    # 4! adversary runs + 4! bases * (1 + 2 slots * 4 flags * 4 forks) walks = 816
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 815)
+    monkeypatch.setattr(cli, "quantum_battery", lambda n: [])
+    assert run_cli(["verify-lifting", "--kind", "quantum", "--n", "4", "--q", "1",
+                    "--k", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "816 cases" in err and "ceiling 815" in err
+    # at the ceiling the run goes on and stops only for want of an adversary
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 816)
+    assert run_cli(["verify-lifting", "--n", "4", "--q", "1", "--k", "1"]) == EXIT_CONFIG
+    assert "no adversary fits --q 1" in capsys.readouterr().err
+
+
+def test_verify_lifting_quantum_at_n8_fits_the_ceiling(monkeypatch, capsys):
+    # 8! * (1 + 2 * 4 * 8) = 2,661,120 walks; 8!^2 * 9 targets x bases x choices
+    # (1.5e10) did not fit.  With no adversaries the run exits at --q at once.
+    monkeypatch.setattr(cli, "quantum_battery", lambda n: [])
+    assert run_cli(["verify-lifting", "--kind", "quantum", "--n", "8", "--q", "1",
+                    "--k", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "ceiling" not in err and "--q 1" in err
+
+
+def test_verify_decomposition_rejects_k_above_n(capsys):
+    # no marked tuple exists, so the bad fraction divided 0 by 0
+    assert run_cli(["verify-decomposition", "--n", "4", "--k", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--k 5" in err and "--n 4" in err
+
+
 @pytest.mark.parametrize("args", [
     ["verify-lifting", "--kind", "interactive", "--game", "output-guess"],
     ["verify-lifting", "--kind", "quantum"],

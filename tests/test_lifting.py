@@ -13,6 +13,7 @@ from permlift.battery import (
     FixedPointSeeker,
     ValueReporter,
     classical_battery,
+    qa_basis_probe,
     qa_superposed_seeker,
     qa_value_reporter,
     quantum_battery,
@@ -31,9 +32,10 @@ from permlift.lifting import (
     quantum_factor,
     quantum_lift_exact,
     quantum_lift_monte_carlo,
+    quantum_lifted_win_exact,
 )
-from permlift.perms import Permutation, all_permutations, is_good_pair
-from permlift.simulators import build_lifted_adversary
+from permlift.perms import PartialPermutation, Permutation, all_permutations, is_good_pair
+from permlift.simulators import build_lifted_adversary, run_quantum_sim, sim_choice_space
 
 
 def test_factors():
@@ -189,12 +191,95 @@ def test_exact_lifting_certifies_the_built_lifted_adversary(monkeypatch):
     sampled = quantum_lift_monte_carlo(qadv, rel, 3000, seed=7).p_lifted
     assert quantum_lift_exact(qadv, rel).p_lifted == pytest.approx(0.45)
     assert _within_3_sigma(0.45, sampled, 3000)
-    # an exact lift that simulates another experiment (base and target swapped)
+    # an exact lift that simulates another experiment (a lazy walk that forgets
+    # the target values it read, so the win test sees an independent target)
     # still reports holds, and only the comparison with the built object fails
-    real = lifting.run_quantum_sim
-    monkeypatch.setattr(lifting, "run_quantum_sim",
-                        lambda adv, base, target, *rest, **kw: real(adv, target, base,
-                                                                    *rest, **kw))
-    swapped = quantum_lift_exact(qadv, rel)
-    assert swapped.holds and swapped.p_lifted == pytest.approx(0.7)
-    assert not _within_3_sigma(swapped.p_lifted, sampled, 3000)
+    real = PartialPermutation.forks
+    monkeypatch.setattr(PartialPermutation, "forks", lambda self, direction, v: tuple(
+        (value, weight, self) for value, weight, _ in real(self, direction, v)))
+    forgetful = quantum_lift_exact(qadv, rel)
+    assert forgetful.holds and forgetful.p_lifted == pytest.approx(0.25)
+    assert not _within_3_sigma(forgetful.p_lifted, sampled, 3000)
+
+
+@pytest.mark.parametrize("lift,adv,runner", [
+    (quantum_lift_exact, qa_basis_probe(4), "run_quantum_sim"),
+    (classical_lift_exact, FixedPointSeeker(4), "run_classical_sim"),
+])
+def test_factor_zero_verdict_is_vacuous_and_not_enumerated(monkeypatch, lift, adv, runner):
+    # k^2 = n makes the factor 0: the verdict holds whatever the lifted side
+    # wins, so no simulator runs (the quantum one took 5.3 s for nothing)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lifted side of a vacuous verdict was enumerated")
+
+    monkeypatch.setattr(lifting, runner, refuse)
+    report = lift(adv, relation_fixed_point(4), k=2)
+    assert report.factor == 0 and report.holds and report.vacuous
+    assert report.p_lifted is None and report.p_adversary > 0
+    out = report.to_dict()
+    assert out["vacuous"] is True and out["p_lifted"] is None
+
+
+def test_non_vacuous_report_keeps_its_shape():
+    out = quantum_lift_exact(qa_value_reporter(4), relation_output_guess(4)).to_dict()
+    assert "vacuous" not in out and isinstance(out["p_lifted"], float)
+
+
+# ---------------------------------------------------------------------------
+# Lazy target against the n!-target enumeration
+
+
+def _reference_lifted_win(adv, rel, k):
+    """(p_lifted, number of summed terms) with every target enumerated: one
+    simulator run per target x base x choice against the concrete target."""
+    perms = list(all_permutations(rel.n))
+    choices = sim_choice_space(adv.circuit.num_slots, k, True)
+    total, terms = 0.0, 0
+    for target, base, choice in itertools.product(perms, perms, choices):
+        for (xs, z), p in run_quantum_sim(adv, base, target, choice, mode="exact").items():
+            terms += 1
+            if rel.wins(xs, tuple(target.forward(x) for x in xs), z):
+                total += p
+    return total / (len(perms) ** 2 * len(choices)), terms
+
+
+def _rounding_bound(terms):
+    # Both sides are float sums of nonnegative terms whose mean is p <= 1.  A
+    # recursive sum of N such terms errs by at most (N - 1) u times their sum,
+    # u = 2^-53, so the mean errs by at most (N - 1) u; each term is a product
+    # of at most 8 rounded factors (branch probability, fork and completion
+    # weights 1/(n - m), the final division by the case count), adding 8 u.
+    # The lazy sum has no more terms than the reference (per base it forks
+    # each read at most n ways, against n! targets), so with N the reference's
+    # term count, 2 (N + 8) u bounds the difference of the two.
+    return 2 * (terms + 8) * 2.0 ** -53
+
+
+LAZY_PAIRS = [(adv, rel, 1) for rel in (relation_fixed_point(4), relation_double_sided_zero(1))
+              for adv in quantum_battery(4) if adv.queries <= 1]
+LAZY_PAIRS.append((qa_basis_probe(4), relation_fixed_point(4), 2))
+
+
+@pytest.fixture(scope="module")
+def lazy_references():
+    return [_reference_lifted_win(adv, rel, k) for adv, rel, k in LAZY_PAIRS]
+
+
+def _lazy_gaps(references):
+    return [abs(quantum_lifted_win_exact(adv, rel, k) - p) / _rounding_bound(terms)
+            for (adv, rel, k), (p, terms) in zip(LAZY_PAIRS, references)]
+
+
+def test_lazy_target_matches_the_full_enumeration(lazy_references):
+    # gaps are in units of the rounding bound; about 1e-14 / 1e-11 is typical
+    assert max(_lazy_gaps(lazy_references)) <= 1
+
+
+def test_wrong_fork_weight_fails_the_cross_check(monkeypatch, lazy_references):
+    # 1/n for every unread value instead of 1/(n - m) once m values are read
+    real = PartialPermutation.forks
+    monkeypatch.setattr(PartialPermutation, "forks", lambda self, direction, v: tuple(
+        (value, weight if extended is self else 1 / self.n, extended)
+        for value, weight, extended in real(self, direction, v)))
+    gaps = _lazy_gaps(lazy_references)
+    assert gaps[-1] > 1 and sum(gap > 1 for gap in gaps[:-1]) > 0

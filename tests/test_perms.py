@@ -1,6 +1,7 @@
 """Reprogramming algebra: operation contracts and exhaustive law checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from permlift.errors import CapabilityError, DomainError, PreconditionError
 from permlift.perms import (
     HitMiss,
+    PartialPermutation,
     Permutation,
     all_permutations,
     bad_fraction,
@@ -173,3 +175,39 @@ def test_json_rejects_non_bijections(tmp_path):
     path.write_text('{"n": 3, "fwd": [0, 0, 2]}')
     with pytest.raises(DomainError):
         load_permutation(path)
+
+
+@given(st.integers(1, 6), st.data())
+def test_partial_permutation_reads_match_a_uniform_permutation(n, data):
+    # reading a lazily sampled permutation at any sequence of points, in
+    # either direction, gives each consistent outcome the share of the n!
+    # tables that agree with it
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(["forward", "backward"]),
+                                         st.integers(0, n - 1)), max_size=4))
+    outcomes = [((), 1.0, PartialPermutation(n))]
+    for direction, v in reads:
+        outcomes = [(seen + (value,), weight * w, extended)
+                    for seen, weight, partial in outcomes
+                    for value, w, extended in partial.forks(direction, v)]
+    counts = {}
+    for pi in all_permutations(n):
+        seen = tuple(pi.forward(v) if d == "forward" else pi.backward(v) for d, v in reads)
+        counts[seen] = counts.get(seen, 0) + 1
+    assert {seen: pytest.approx(weight) for seen, weight, _ in outcomes} == {
+        seen: c / math.factorial(n) for seen, c in counts.items()}
+    for _, _, partial in outcomes:
+        assert partial.inv == {y: x for x, y in partial.fwd.items()}
+        assert len(partial.inv) == len(partial.fwd) <= len(reads)
+
+
+def test_partial_permutation_completions_and_identity():
+    unread = PartialPermutation(4)
+    pairs = unread.completions((2, 0))
+    assert sorted(ys for ys, _ in pairs) == sorted(itertools.permutations(range(4), 2))
+    assert all(w == pytest.approx(1 / 12) for _, w in pairs)
+    (_, _, read), *_ = unread.forks("backward", 3)  # pi^-1(3) = 0
+    same = unread.forks("forward", 0)[3][2]  # pi(0) = 3
+    assert read == same and hash(read) == hash(same) and read.inv == {3: 0}
+    assert read.completions((0,)) == [((3,), 1)]
+    with pytest.raises(DomainError):
+        unread.forks("forward", 4)
