@@ -272,11 +272,14 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
 
 def interactive_lift_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
                            n: int, k: int, game: str) -> LiftReport:
+    """Exact interactive lifting report, vacuous (p_lifted None, nothing
+    enumerated on the lifted side) when k^2 >= n makes the factor <= 0."""
     p_a = real_game_win_exact(instances, adv, n)
-    p_b = lifted_game_win_exact(instances, adv, n, k)
     factor = quantum_factor(n, adv.queries, k)
+    vacuous = factor <= 0
+    p_b = None if vacuous else lifted_game_win_exact(instances, adv, n, k)
     return LiftReport(
         kind="interactive", game=game, adversary=adv.name, n=n,
         q=adv.queries, k=k, p_adversary=p_a, p_lifted=p_b, factor=factor,
-        holds=p_b >= float(factor) * p_a - 1e-12, exact=True,
+        holds=vacuous or p_b >= float(factor) * p_a - 1e-12, exact=True, vacuous=vacuous,
     )

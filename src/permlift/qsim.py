@@ -254,6 +254,21 @@ class Gate:
         raise NotImplementedError
 
 
+def _targets_first(state: StateVector, targets: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes viewed with the target axes first, in target order,
+    and the axis order whose ``transpose`` puts a result of that shape back
+    in register order.  These are the permutations ``np.moveaxis`` builds,
+    without its argument normalization, so a gate's result has the values
+    and the strides that moving the axes there and back gave."""
+    regs = state.regs
+    order = [regs.axis(t) for t in targets]
+    order += [a for a in range(len(regs.dims)) if a not in order]
+    back = [0] * len(order)
+    for position, axis in enumerate(order):
+        back[axis] = position
+    return state.amps.transpose(order), back
+
+
 @dataclass(frozen=True, eq=False)
 class LocalUnitary(Gate):
     """A dense unitary on one or more registers (identity elsewhere)."""
@@ -262,18 +277,14 @@ class LocalUnitary(Gate):
     matrix: np.ndarray
 
     def apply(self, state: StateVector) -> StateVector:
-        regs = state.regs
-        axes = [regs.axis(t) for t in self.targets]
-        dims = [regs.dims[a] for a in axes]
-        d = int(np.prod(dims))
+        moved, back = _targets_first(state, self.targets)
+        d = math.prod(moved.shape[:len(self.targets)])
         if self.matrix.shape != (d, d):
             raise DomainError(
                 f"gate on {self.targets} needs a {d}x{d} matrix, got {self.matrix.shape}"
             )
-        moved = np.moveaxis(state.amps, axes, range(len(axes)))
-        block = moved.reshape(d, -1)
-        out = (self.matrix @ block).reshape(moved.shape)
-        return StateVector(regs, np.moveaxis(out, range(len(axes)), axes))
+        out = (self.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
+        return StateVector(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)
@@ -287,19 +298,23 @@ class BasisMap(Gate):
     targets: tuple[str, ...]
     table: tuple[int, ...]
 
-    def apply(self, state: StateVector) -> StateVector:
-        regs = state.regs
-        axes = [regs.axis(t) for t in self.targets]
-        dims = [regs.dims[a] for a in axes]
-        d = int(np.prod(dims))
+    def __post_init__(self):
+        d = len(self.table)
         if sorted(self.table) != list(range(d)):
             raise DomainError("basis map table is not a bijection")
-        inv = np.empty(d, dtype=np.int64)
-        inv[np.asarray(self.table)] = np.arange(d)
-        moved = np.moveaxis(state.amps, axes, range(len(axes)))
-        block = moved.reshape(d, -1)
-        out = block[inv].reshape(moved.shape)
-        return StateVector(regs, np.moveaxis(out, range(len(axes)), axes))
+        inverse = np.empty(d, dtype=np.int64)
+        inverse[np.asarray(self.table)] = np.arange(d)
+        object.__setattr__(self, "_inverse", inverse)
+
+    def apply(self, state: StateVector) -> StateVector:
+        moved, back = _targets_first(state, self.targets)
+        d = math.prod(moved.shape[:len(self.targets)])
+        if len(self.table) != d:
+            raise DomainError(
+                f"basis map on {self.targets} needs a table of {d} values, got {len(self.table)}"
+            )
+        out = moved.reshape(d, -1)[self._inverse].reshape(moved.shape)
+        return StateVector(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)
@@ -352,11 +367,9 @@ class DiagonalPhase(Gate):
     phases: np.ndarray  # shaped by the target dims
 
     def apply(self, state: StateVector) -> StateVector:
-        regs = state.regs
-        axes = [regs.axis(t) for t in self.targets]
-        moved = np.moveaxis(state.amps, axes, range(len(axes)))
+        moved, back = _targets_first(state, self.targets)
         out = moved * self.phases.reshape(self.phases.shape + (1,) * (moved.ndim - self.phases.ndim))
-        return StateVector(regs, np.moveaxis(out, range(len(axes)), axes))
+        return StateVector(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ciphers import Cipher
-from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit, run_with_insertions
+from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import PartialPermutation, Permutation, hit_miss_queries, is_good_pair
 from .qsim import (StateVector, apply_oracle, measure_distribution, measurement_branches,
@@ -379,6 +379,42 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
 # State decomposition
 
 
+@functools.lru_cache(maxsize=None)
+def _choice_trie(num_slots: int, k: int) -> tuple[tuple, tuple, tuple]:
+    """The quantum choice space as a prefix trie of slot operations.
+
+    A choice fixes, at each slot i, the set of indices fired before slot i
+    is answered (those guessed at an earlier slot, and the one guessed at
+    slot i if it reprograms before answering) and the projection made
+    before it: (index, hit/miss) when an index is guessed at slot i, else
+    None.  Choices that agree on these up to slot i share the state after
+    slot i.  Node 0 is the state after the first unitary; every other node
+    is (parent, slot, fired, projected), created after its parent.  Returns
+    (choices in `sim_choice_space` order, nodes, the last node of each
+    choice); none of it depends on the oracles or the marked inputs.
+    """
+    choices = tuple(sim_choice_space(num_slots, k, with_timing=True))
+    nodes: list[tuple] = [None]
+    ids: dict[tuple, int] = {}
+    leaves = []
+    for choice in choices:
+        node, slot_map = 0, choice.slot_map()
+        for i in range(1, num_slots + 1):
+            fired = frozenset(
+                j for j, s in enumerate(choice.slots)
+                if s is not None and (s < i or (s == i and not choice.after_flags[j]))
+            )
+            j = slot_map.get(i)
+            projected = None if j is None else (j, choice.miss_flags[j])
+            key = (node, fired, projected)
+            if key not in ids:
+                ids[key] = len(nodes)
+                nodes.append((node, i, fired, projected))
+            node = ids[key]
+        leaves.append(node)
+    return choices, tuple(nodes), tuple(leaves)
+
+
 def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutation,
                     xs: Sequence[int]):
     """All signed components of the reprogrammed-oracle final state.
@@ -389,6 +425,11 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     (including index j at its own slot exactly when the reprogramming happens
     before the answer).  The signed sum over all components reproduces the
     run under the fully reprogrammed table.
+
+    The components are computed over the choice trie (`_choice_trie`): one
+    state per trie node, so a slot prefix shared by several choices is run
+    once.  Each component is the same sequence of operations as a
+    `run_with_insertions` call for its choice.
     """
     if not is_good_pair(base, target, xs):
         raise PreconditionError("(base, target) is not a good pair for these inputs")
@@ -402,30 +443,21 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
             partial_cache[js] = base.reprogram_seq([pairs[j] for j in sorted(js)])
         return partial_cache[js]
 
-    components = []
-    for choice in sim_choice_space(circuit.num_slots, len(xs), with_timing=True):
-        slot_map = choice.slot_map()
-        oracles = []
-        projections: list[Optional[Projector]] = []
-        for i in range(1, circuit.num_slots + 1):
-            tag = circuit.slot_tags[i - 1]
-            fired = frozenset(
-                j for j, s in enumerate(choice.slots)
-                if s is not None and (s < i or (s == i and not choice.after_flags[j]))
-            )
-            oracles.append(partial(fired))
-            j = slot_map.get(i)
-            if j is None:
-                projections.append(None)
+    choices, nodes, leaves = _choice_trie(circuit.num_slots, len(xs))
+    states = [circuit.unitaries[0].apply(zero_state(circuit.regs))]
+    for parent, i, fired, projected in nodes[1:]:
+        state, tag = states[parent], circuit.slot_tags[i - 1]
+        if projected is not None:
+            j, miss = projected
+            if tag == FORWARD:
+                value = hm.x_hit[j] if miss == HIT else hm.x_miss[j]
             else:
-                if tag == FORWARD:
-                    value = hm.x_hit[j] if choice.miss_flags[j] == HIT else hm.x_miss[j]
-                else:
-                    value = hm.y_hit[j] if choice.miss_flags[j] == HIT else hm.y_miss[j]
-                projections.append(Projector(circuit.query, frozenset((value,))))
-        state = run_with_insertions(circuit, oracles, projections)
-        components.append((choice, choice.sign(), state))
-    return components
+                value = hm.y_hit[j] if miss == HIT else hm.y_miss[j]
+            state = Projector(circuit.query, frozenset((value,))).apply(state)
+        state = apply_oracle(state, partial(fired), tag, circuit.query, circuit.response,
+                             key=circuit.key)
+        states.append(circuit.unitaries[i].apply(state))
+    return [(choice, choice.sign(), states[leaf]) for choice, leaf in zip(choices, leaves)]
 
 
 def decomposition_residual(adv: QuantumAdversary, base: Permutation,

@@ -1,16 +1,24 @@
 """Signed state-decomposition identity and its component bookkeeping."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permlift.battery import qa_backward_probe, qa_basis_probe, qa_phase_sampler, qa_value_reporter
-from permlift.circuits import CircuitBuilder, run_circuit
+from permlift import simulators
+from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sampler,
+                              qa_two_query_prober, qa_value_reporter, quantum_battery)
+from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, Projector, run_circuit, run_with_insertions
 from permlift.errors import PreconditionError
-from permlift.perms import Permutation, all_permutations, is_good_pair
+from permlift.perms import Permutation, all_permutations, hit_miss_queries, is_good_pair
+from permlift.qsim import controlled_xor_gate, superposition_gate
 from permlift.simulators import (
+    HIT,
     QuantumAdversary,
+    SimChoice,
     decompose_state,
     decomposition_residual,
     sim_choice_space,
@@ -129,3 +137,169 @@ def test_components_are_subnormalized():
     base, target = next(good_pairs(4, (2,)))
     for _, _, state in decompose_state(adv, base, target, (2,)):
         assert state.norm_sq() <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The choice trie against one run per choice
+
+
+def reference_components(adv, base, target, xs):
+    """One `run_with_insertions` per choice: slot i runs under the table of
+    the indices fired before it answers, after the projection onto the hit
+    or miss value of the index guessed there."""
+    hm = hit_miss_queries(base, target, xs)
+    pairs = list(zip(hm.x_hit, hm.y_hit))
+    circuit = adv.circuit
+    components = []
+    for choice in sim_choice_space(circuit.num_slots, len(xs), with_timing=True):
+        slot_map = choice.slot_map()
+        oracles, projections = [], []
+        for i in range(1, circuit.num_slots + 1):
+            fired = sorted(j for j, s in enumerate(choice.slots)
+                           if s is not None and (s < i or (s == i and not choice.after_flags[j])))
+            oracles.append(base.reprogram_seq([pairs[j] for j in fired]))
+            j = slot_map.get(i)
+            if j is None:
+                projections.append(None)
+                continue
+            hit = choice.miss_flags[j] == HIT
+            if circuit.slot_tags[i - 1] == FORWARD:
+                value = hm.x_hit[j] if hit else hm.x_miss[j]
+            else:
+                value = hm.y_hit[j] if hit else hm.y_miss[j]
+            projections.append(Projector(circuit.query, frozenset((value,))))
+        components.append((choice, choice.sign(),
+                           run_with_insertions(circuit, oracles, projections)))
+    return components
+
+
+def as_bytes(components):
+    return [(choice, sign, state.amps.tobytes()) for choice, sign, state in components]
+
+
+def sampled_good_pairs(xs, count=3):
+    return list(itertools.islice(good_pairs(4, xs, 7, 5), count))
+
+
+CROSS_CHECK = [(adv, k) for adv in quantum_battery(4) + [qa_two_query_prober(4)] for k in (1, 2)]
+
+
+@pytest.mark.parametrize("adv,k", CROSS_CHECK, ids=[f"{a.name}-k{k}" for a, k in CROSS_CHECK])
+def test_trie_components_equal_one_run_per_choice(adv, k):
+    for xs in ((0, 1, 2, 3)[:k], (3, 1, 0, 2)[:k]):
+        pairs = sampled_good_pairs(xs)
+        assert pairs
+        for base, target in pairs:
+            assert as_bytes(decompose_state(adv, base, target, xs)) == \
+                as_bytes(reference_components(adv, base, target, xs))
+
+
+def test_choice_trie_shares_prefixes():
+    # 225 choices of 4 slots at k=2 take fewer nodes than one per (choice, slot)
+    choices, nodes, leaves = simulators._choice_trie(4, 2)
+    assert list(choices) == sim_choice_space(4, 2, True) and len(leaves) == 225
+    assert len(set(leaves)) == 225 and len(nodes) < 225 * 4
+    assert all(parent < node for node, (parent, *_) in enumerate(nodes[1:], start=1))
+
+
+def planted(monkeypatch, name, old, new):
+    """Replace ``simulators.<name>`` by a copy of its source with one edit."""
+    source = inspect.getsource(inspect.unwrap(getattr(simulators, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(simulators))
+    exec(compile(source.replace(old, new), simulators.__file__, "exec"), namespace)
+    monkeypatch.setattr(simulators, name, namespace[name])
+
+
+def worst_residual(adv, xs):
+    return max(decomposition_residual(adv, base, target, xs)
+               for base, target in sampled_good_pairs(xs, 4))
+
+
+@pytest.mark.parametrize("adv", [qa_basis_probe(4), qa_phase_sampler(4), qa_two_query_prober(4)],
+                         ids=lambda a: a.name)
+def test_trie_key_without_the_fired_set_is_caught(monkeypatch, adv):
+    # choices that differ only in what is fired before a slot answers would
+    # share one state
+    assert worst_residual(adv, (0, 2)) < 1e-9
+    planted(monkeypatch, "_choice_trie", "key = (node, fired, projected)",
+            "key = (node, projected)")
+    assert worst_residual(adv, (0, 2)) > 1e-9
+
+
+@pytest.mark.parametrize("adv", [qa_value_reporter(4), qa_basis_probe(4), qa_two_query_prober(4)],
+                         ids=lambda a: a.name)
+def test_sign_that_ignores_after_flags_is_caught(monkeypatch, adv):
+    assert worst_residual(adv, (1,)) < 1e-9
+    monkeypatch.setattr(SimChoice, "sign", lambda self: 1)
+    assert worst_residual(adv, (1,)) > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The identity on generated circuits
+
+PERMS4 = list(all_permutations(4))
+REGISTERS = (("q", 4), ("r", 4), ("a", 2))
+DIMS = dict(REGISTERS)
+
+
+@st.composite
+def gates(draw):
+    kind = draw(st.sampled_from(["hadamard", "basis_perm", "phase", "swap", "superposition",
+                                 "controlled_xor"]))
+    if kind == "hadamard":
+        return "hadamard", draw(st.sampled_from(["q", "r", "a"]))
+    if kind == "basis_perm":
+        return "basis_perm", draw(st.sampled_from(["q", "r"])), draw(st.permutations(range(4)))
+    if kind == "phase":
+        regs = draw(st.sampled_from([("q", "r"), ("a", "q"), ("r", "a")]))
+        cells = list(itertools.product(*(range(DIMS[r]) for r in regs)))
+        marked = draw(st.sets(st.sampled_from(cells), max_size=len(cells)))
+        return "phase", regs, frozenset(marked), draw(st.sampled_from([np.pi, np.pi / 2, 1.0]))
+    if kind == "swap":
+        return ("swap",)
+    if kind == "superposition":
+        return "superposition", draw(st.sets(st.integers(0, 3), min_size=1))
+    source, target = draw(st.sampled_from([("r", "q"), ("q", "r"), ("a", "q"), ("q", "a")]))
+    offsets = draw(st.lists(st.integers(0, DIMS[target] - 1),
+                            min_size=DIMS[source], max_size=DIMS[source]))
+    return "controlled_xor", source, target, tuple(offsets)
+
+
+def build_circuit(segments, tags):
+    b = CircuitBuilder(REGISTERS)
+    for i, segment in enumerate(segments):
+        if i:
+            b.oracle(tags[i - 1])
+        for g in segment:
+            if g[0] == "hadamard":
+                b.hadamard(g[1])
+            elif g[0] == "basis_perm":
+                b.basis_perm(g[1], g[2])
+            elif g[0] == "phase":
+                b.controlled_phase(g[1], lambda idx, marked=g[2]: idx in marked, g[3])
+            elif g[0] == "swap":
+                b.swap("q", "r")
+            elif g[0] == "superposition":
+                b.gate(superposition_gate("q", 4, sorted(g[1])))
+            else:
+                b.gate(controlled_xor_gate(g[1], g[2], (DIMS[g[1]], DIMS[g[2]]),
+                                           lambda s, off=g[3]: off[s]))
+    return QuantumAdversary(b.build(), x_regs=("q",), z_regs=("a",))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_decomposition_identity_on_generated_circuits(data):
+    slots = data.draw(st.integers(1, 3))
+    tags = data.draw(st.lists(st.sampled_from([FORWARD, BACKWARD]), min_size=slots, max_size=slots))
+    segments = data.draw(st.lists(st.lists(gates(), max_size=3), min_size=slots + 1,
+                                  max_size=slots + 1))
+    adv = build_circuit(segments, tags)
+    k = data.draw(st.integers(1, 2))
+    xs = tuple(data.draw(st.permutations(range(4)))[:k])
+    base = data.draw(st.sampled_from(PERMS4))
+    target = data.draw(st.sampled_from([t for t in PERMS4 if is_good_pair(base, t, xs)]))
+    assert decomposition_residual(adv, base, target, xs) < 1e-9
+    assert as_bytes(decompose_state(adv, base, target, xs)) == \
+        as_bytes(reference_components(adv, base, target, xs))

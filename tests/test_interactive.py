@@ -1,5 +1,7 @@
 """Challenger programs, view verification, and the interactive lift."""
 
+import json
+
 import pytest
 
 from permlift.battery import qa_value_reporter
@@ -163,3 +165,26 @@ def test_one_way_game_exact_lift():
     report = interactive_lift_exact(instances, adv, 4, k=1, game="one-way")
     assert report.holds
     assert report.p_lifted >= float(report.factor) - 1e-12
+
+
+def test_factor_zero_interactive_verdict_is_vacuous_and_not_enumerated(monkeypatch, tmp_path):
+    # k^2 = n makes the factor 0: the verdict holds whatever the lifted side
+    # wins, so the lifted game is not enumerated (it read 0.4722 after a full
+    # target x instance x base x choice enumeration)
+    from permlift import cli, interactive
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lifted side of a vacuous verdict was enumerated")
+
+    monkeypatch.setattr(interactive, "lifted_game_win_exact", refuse)
+    rel = relation_output_guess(4)
+    qadv = qa_value_reporter(4)
+    adv = OneShotAdversary(circuit_for=lambda ch: qadv, queries=1, name=qadv.name)
+    report = interactive_lift_exact([RelationChallenger(rel)], adv, 4, k=2, game=rel.name)
+    assert report.factor == 0 and report.holds and report.vacuous
+    assert report.p_lifted is None and report.p_adversary == pytest.approx(1.0)
+    out = tmp_path / "inter.json"
+    assert cli.main(["verify-lifting", "--kind", "interactive", "--n", "4", "--k", "2",
+                     "--game", "output-guess", "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["vacuous"] is True and result["p_lifted"] is None and result["factor"] == 0.0

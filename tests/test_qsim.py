@@ -8,6 +8,9 @@ import pytest
 from permlift.errors import DomainError
 from permlift.perms import Permutation, all_permutations
 from permlift.qsim import (
+    BasisMap,
+    DiagonalPhase,
+    LocalUnitary,
     Registers,
     StateVector,
     apply_combined_oracle,
@@ -176,3 +179,55 @@ def test_superposition_gate_column():
     expect = np.zeros(4, dtype=complex)
     expect[0] = expect[2] = 1 / math.sqrt(2)
     assert np.allclose(out.flat(), expect)
+
+
+def test_non_bijective_basis_map_is_rejected_when_built():
+    with pytest.raises(DomainError, match="bijection"):
+        BasisMap(("q",), (0, 1, 1, 3))
+    with pytest.raises(DomainError, match="bijection"):
+        BasisMap(("q", "r"), (0, 2, 3))
+    gate = BasisMap(("q",), (1, 2, 0))
+    with pytest.raises(DomainError, match="table of 4 values"):
+        gate.apply(zero_state(regs(4)))
+
+
+# the targets are reordered relative to the layout and never lead it
+GATE_TARGETS = [("c", "b"), ("b",), ("c", "a"), ("c", "a", "b")]
+
+
+def layout_state(rng, transposed):
+    r = Registers([("a", 2), ("b", 3), ("c", 4)])
+    amps = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    if transposed:  # the same values laid out in memory in another axis order
+        amps = np.ascontiguousarray(amps.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return StateVector(r, amps)
+
+
+def einsum_reference(op, targets, amps):
+    """Apply `op`, shaped (target dims) x (target dims), through einsum."""
+    names = "abc"
+    letters = "".join(targets)
+    out = "".join(t.upper() if t in targets else t for t in names)
+    return np.einsum(f"{letters.upper()}{letters},{names}->{out}", op, amps)
+
+
+@pytest.mark.parametrize("targets", GATE_TARGETS, ids="".join)
+@pytest.mark.parametrize("transposed", [False, True])
+def test_gates_on_non_leading_targets_match_einsum(targets, transposed):
+    rng = np.random.default_rng(len(targets) + 7 * transposed)
+    state = layout_state(rng, transposed)
+    dims = tuple(state.regs.dim(t) for t in targets)
+    d = math.prod(dims)
+    matrix, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    table = tuple(int(v) for v in rng.permutation(d))
+    perm_matrix = np.zeros((d, d))
+    perm_matrix[table, np.arange(d)] = 1.0
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=dims))
+    cases = [(LocalUnitary(targets, matrix), matrix),
+             (BasisMap(targets, table), perm_matrix),
+             (DiagonalPhase(targets, phases), np.diag(phases.reshape(-1)))]
+    for gate, op in cases:
+        expected = einsum_reference(op.reshape(dims + dims), targets, state.amps)
+        got = gate.apply(state)
+        assert got.amps.shape == state.regs.dims
+        np.testing.assert_allclose(got.amps, expected, rtol=0, atol=1e-12)
