@@ -18,11 +18,10 @@ from permlift.lifting import (
 
 
 def show(report):
-    slack = report.p_lifted - float(report.factor) * report.p_adversary
     mark = "ok " if report.holds else "VIOLATION"
     print(f"  {report.adversary:<22} P[A]={report.p_adversary:.4f}  "
           f"P[B]={report.p_lifted:.4f}  floor={float(report.factor) * report.p_adversary:.4f}  "
-          f"slack=+{slack:.4f}  {mark}")
+          f"slack={report.margin:+.4f}  {mark}")
 
 
 print("== Classical lifting, exact at n=4 ==")

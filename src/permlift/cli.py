@@ -162,7 +162,11 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
         slots = qadv.circuit.num_slots
     else:
         slots = q if args.kind == "classical" else 2 * q
-    if args.mode == "exhaustive" and args.kind == "quantum":
+    if args.mode == "exhaustive" and k * k >= n:
+        # the factor is <= 0, so the verdict is vacuous and only the adversary
+        # side runs: once per target (and instance, of which there is one)
+        require_enumerable(permutation_count(n))
+    elif args.mode == "exhaustive" and args.kind == "quantum":
         # one circuit run per target, then per base the walks of every choice,
         # forked at each lazy target read
         require_enumerable(permutation_count(n) * (1 + forked_walk_count(slots, k, n)))

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapabilityError, DomainError, PreconditionError
 
 Pair = tuple[int, int]
@@ -169,6 +171,54 @@ class PartialPermutation:
 
     def __repr__(self):
         return f"PartialPermutation({self.n}, {sorted(self.fwd.items())})"
+
+
+class PermutationStack:
+    """The oracles of a batch of trials as numpy tables, one row per trial.
+
+    ``fwd[r, key]`` is row r's table under `key` and ``inv[r, key]`` its
+    inverse; a permutation is the one-key cipher, with key 0.  Unlike a
+    :class:`Permutation`, a stack is edited in place, one edit per row.
+    """
+
+    __slots__ = ("fwd", "inv")
+
+    def __init__(self, fwd: np.ndarray):
+        self.fwd = fwd
+        self.inv = np.argsort(fwd, axis=-1)
+
+    @classmethod
+    def random(cls, rows: int, n: int, rng) -> "PermutationStack":
+        """`rows` uniform permutations, drawn as `rows` calls of
+        :meth:`Permutation.random` would draw them."""
+        return cls(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, None, :])
+
+    @classmethod
+    def from_keys(cls, perms: Sequence[Permutation]) -> "PermutationStack":
+        """One row, whose table under key i is perms[i]."""
+        return cls(np.array([[p.fwd for p in perms]]))
+
+    def __len__(self) -> int:
+        return len(self.fwd)
+
+    def copy(self) -> "PermutationStack":
+        out = object.__new__(PermutationStack)
+        out.fwd, out.inv = self.fwd.copy(), self.inv.copy()
+        return out
+
+    def lookup(self, rows, keys, points, forward) -> np.ndarray:
+        """Each listed row's value at its point, read forward (pi(point))
+        where `forward` holds and backward (pi^-1(point)) elsewhere."""
+        return np.where(forward, self.fwd[rows, keys, points], self.inv[rows, keys, points])
+
+    def reprogram(self, rows, keys, xs, ys) -> None:
+        """`reprogram` of each listed row under its key, in place: x goes to
+        y and the old preimage of y to the old pi(x).  Rows must be distinct."""
+        old, pre = self.fwd[rows, keys, xs], self.inv[rows, keys, ys]
+        self.fwd[rows, keys, pre] = old
+        self.inv[rows, keys, old] = pre
+        self.fwd[rows, keys, xs] = ys
+        self.inv[rows, keys, ys] = xs
 
 
 def reprogram(pi: Permutation, x: int, y: int) -> Permutation:

@@ -148,21 +148,28 @@ def apply_oracle(state: StateVector, oracle, direction: str = "forward",
     """|x>|y> -> |x>|y ^ pi(x)> for a Permutation; |K>|x>|y> -> |K>|x>|y ^ E_K(x)>
     for a Cipher through the ``key`` register.  backward uses inverse tables.
 
-    A permutation is the one-key cipher without a key register: both gather
-    from one table stack with a row per (key, query) value."""
+    A permutation is the one-key cipher without a key register: both are a
+    `gather` from a table stack, indexed by nothing or by the key."""
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown oracle direction {direction!r}")
     require_oracle_key(oracle, key)
-    regs = state.regs
-    axes = (regs.axis(query), regs.axis(response))
     if key is None:
-        tables = np.asarray(oracle.fwd if direction == "forward" else oracle.inv)
-    else:
-        axes = (regs.axis(key),) + axes
-        if regs.dims[axes[0]] != oracle.key_count:
-            raise DomainError("key register dimension must match the cipher key count")
-        tables = np.array([p.fwd if direction == "forward" else p.inv for p in oracle.perms])
-    n = oracle.n
+        return gather(state, np.asarray(oracle.fwd if direction == "forward" else oracle.inv),
+                      (), query, response)
+    if state.regs.dim(key) != oracle.key_count:
+        raise DomainError("key register dimension must match the cipher key count")
+    tables = np.array([p.fwd if direction == "forward" else p.inv for p in oracle.perms])
+    return gather(state, tables, (key,), query, response)
+
+
+def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],
+           query: str = "q", response: str = "r") -> StateVector:
+    """|i>|x>|y> -> |i>|x>|y ^ tables[i][x]>: the XOR oracle of a stack of
+    tables, one per joint value i of the `index` registers (one table when
+    `index` is empty), stacked in row-major order of those values."""
+    regs = state.regs
+    axes = tuple(map(regs.axis, index)) + (regs.axis(query), regs.axis(response))
+    n = tables.shape[-1]
     _require_xor_compatible(regs.dims[axes[-2]], regs.dims[axes[-1]], n)
     order = axes + tuple(a for a in range(len(regs.dims)) if a not in axes)
     moved = state.amps.transpose(order)
@@ -188,9 +195,11 @@ def measure_distribution(state: StateVector, names: Sequence[str]) -> np.ndarray
 
     The result axes follow the order of `names`, not register order.
     """
-    regs = state.regs
+    return _marginal(state.regs, np.abs(state.amps) ** 2, names)
+
+
+def _marginal(regs: Registers, probs: np.ndarray, names: Sequence[str]) -> np.ndarray:
     axes = [regs.axis(n) for n in names]
-    probs = np.abs(state.amps) ** 2
     drop = tuple(i for i in range(len(regs.dims)) if i not in axes)
     marg = probs.sum(axis=drop) if drop else probs
     kept_sorted = sorted(axes)
@@ -229,18 +238,72 @@ def measurement_branches(state: StateVector, names: Sequence[str],
 
 
 def sample_measurement(state: StateVector, names: Sequence[str], rng):
-    """Sample one outcome and return it with the renormalized collapsed state."""
-    marg = measure_distribution(state, names)
-    flat = marg.reshape(-1)
-    total = flat.sum()
-    pick = rng.choice(flat.size, p=flat / total)
-    values = np.unravel_index(pick, marg.shape)
-    sub = state
-    for name, v in zip(names, values):
-        sub = project(sub, name, (int(v),))
-    sub = sub.scaled(1.0 / math.sqrt(sub.norm_sq()))
-    out = int(values[0]) if len(names) == 1 else tuple(int(v) for v in values)
-    return out, sub
+    """Sample one outcome and return it with the renormalized collapsed state:
+    `sample_rows` on a batch of one."""
+    values, collapsed = sample_rows(batch_state(state, 1), names, rng)
+    out = int(values[0, 0]) if len(names) == 1 else tuple(int(v) for v in values[0])
+    return out, StateVector(state.regs, collapsed.amps[0])
+
+
+# ---------------------------------------------------------------------------
+# Batches of trials: one state with a leading trial register
+
+#: The leading register of a batch state, one row per trial.
+TRIAL = "_trial"
+#: Amplitudes of one batch state; `batch_rows` sizes batches by it.
+BATCH_AMPLITUDES = 2 ** 13
+
+
+def batch_rows(regs: Registers) -> int:
+    """Trials per batch of states on `regs` within BATCH_AMPLITUDES, at least 1."""
+    return max(1, BATCH_AMPLITUDES // regs.total_dim)
+
+
+def batch_state(state: StateVector, rows: int) -> StateVector:
+    """`rows` copies of `state`, stacked along a leading TRIAL register.  Every
+    gate acts on a batch state row by row, as it acts on `state`."""
+    regs = Registers(((TRIAL, rows),) + state.regs.specs())
+    return StateVector(regs, np.broadcast_to(state.amps, regs.dims).copy())
+
+
+def sample_rows(batch: StateVector, names: Sequence[str], rng, live=None):
+    """Measure the named registers of every row of a batch state, with one
+    draw per row from the row's Born-rule distribution.
+
+    Returns (values, collapsed): values is an int array of shape (rows,
+    len(names)), and each measured row of `collapsed` is projected onto its
+    values and renormalized.  With `live`, a bool per row, only the live
+    rows are measured, drawn in row order; the others keep their amplitudes
+    and read -1.  Each draw is one uniform double against the row's
+    cumulative distribution, the draw ``rng.choice`` makes for one outcome.
+    """
+    regs = batch.regs
+    names = (TRIAL,) + tuple(names)
+    axes = [regs.axis(name) for name in names]
+    probs = np.abs(batch.amps) ** 2
+    marg = _marginal(regs, probs, names)
+    size = len(marg)
+    measured = np.arange(size) if live is None else np.flatnonzero(live)
+    flat = marg.reshape(size, -1)[measured]
+    cdf = np.cumsum(flat / flat.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    picks = (cdf <= rng.random(len(measured))[:, None]).sum(axis=1)
+    # 1 on each measured row's outcome and on every unmeasured row, in
+    # register order and shaped to broadcast over the batch
+    keep = np.ones((size, flat.shape[1]))
+    keep[measured] = 0.0
+    keep[measured, picks] = 1.0
+    shape = [1] * len(regs.dims)
+    for a in axes:
+        shape[a] = regs.dims[a]
+    keep = keep.reshape(marg.shape).transpose(np.argsort(axes)).reshape(shape)
+    norms = np.sum(probs * keep, axis=tuple(range(1, len(shape))))
+    scale = np.ones(size)
+    scale[measured] = 1.0 / np.sqrt(norms[measured])
+    values = np.full((size, len(axes) - 1), -1, dtype=np.int64)
+    values[measured] = np.column_stack(np.unravel_index(picks, marg.shape[1:]))
+    scale = scale.reshape((-1,) + (1,) * (len(shape) - 1))
+    return values, StateVector(regs, batch.amps * (keep * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ import numpy as np
 from .ciphers import Cipher
 from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
-from .perms import PartialPermutation, Permutation, hit_miss_queries, is_good_pair
-from .qsim import (StateVector, apply_oracle, measure_distribution, measurement_branches,
-                   require_oracle_key, sample_measurement, zero_state)
+from .perms import (PartialPermutation, Permutation, PermutationStack, hit_miss_queries,
+                    is_good_pair)
+from .qsim import (TRIAL, StateVector, apply_oracle, batch_state, gather, measure_distribution,
+                   measurement_branches, require_oracle_key, sample_rows, zero_state)
 
 HIT = 0
 MISS = 1
@@ -118,14 +119,37 @@ def sim_choice_space(num_slots: int, k: int, with_timing: bool = True) -> list[S
     return [c for c in choices if c is not None]
 
 
+@functools.lru_cache(maxsize=None)
+def _menu_columns(num_slots: int, with_timing: bool) -> tuple[np.ndarray, ...]:
+    """The menu as arrays (slot, hit/miss, before/after) over menu indices,
+    0 where the entry is None."""
+    menu = np.array([[v or 0 for v in entry] for entry in _index_menu(num_slots, with_timing)])
+    menu.setflags(write=False)  # cached, so shared by every caller
+    return menu[:, 0], menu[:, 1], menu[:, 2]
+
+
+def sample_sim_choices(num_slots: int, k: int, with_timing: bool, rng, rows: int) -> np.ndarray:
+    """`rows` choices, uniform over the constrained set: each row is k menu
+    indices drawn from the product menu, and a row whose guessed slots repeat
+    is drawn again, alone, until none does.  Returns the menu indices, an int
+    array of shape (rows, k)."""
+    options = options_per_index(num_slots, with_timing)
+    slot_of = _menu_columns(num_slots, with_timing)[0]
+    picks = rng.integers(0, options, size=(rows, k))
+    while k > 1:
+        slots = np.sort(slot_of[picks], axis=1)
+        redraw = np.flatnonzero(((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] > 0)).any(axis=1))
+        if not len(redraw):
+            break
+        picks[redraw] = rng.integers(0, options, size=(len(redraw), k))
+    return picks
+
+
 def sample_sim_choice(num_slots: int, k: int, with_timing: bool, rng) -> SimChoice:
-    """Uniform over the constrained set, by rejection from the product menu."""
+    """Uniform over the constrained set: `sample_sim_choices` for one row."""
     menu = _index_menu(num_slots, with_timing)
-    while True:
-        picks = rng.integers(0, len(menu), size=k).tolist()
-        choice = _combined_choice([menu[p] for p in picks], with_timing)
-        if choice is not None:
-            return choice
+    (picks,) = sample_sim_choices(num_slots, k, with_timing, rng, 1).tolist()
+    return _combined_choice([menu[p] for p in picks], with_timing)
 
 
 class ClassicalAdversary:
@@ -280,14 +304,6 @@ class QuantumAdversary:
             out[(xs, z)] = out.get((xs, z), 0.0) + p
         return out
 
-    def sample_output(self, state: StateVector, rng) -> tuple[tuple, tuple]:
-        """One measured (xs, z), drawn from the output registers of `state`."""
-        outcome, _ = sample_measurement(state, self.x_regs + self.z_regs, rng)
-        if not isinstance(outcome, tuple):
-            outcome = (outcome,)
-        kx = len(self.x_regs)
-        return tuple(outcome[:kx]), tuple(outcome[kx:])
-
 
 def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                     mode: str = "exact", rng=None, trace: Optional[list] = None):
@@ -295,14 +311,13 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
 
     A circuit with a key register runs against a cipher and measures the
     (key, query) register pair jointly at a guessed slot; one without runs
-    against a permutation.  One walk over the slots serves both modes:
-    exact mode branches over every measurement outcome and returns the full
-    distribution over ((xs), (z)); sample mode draws one outcome at each
-    guessed slot, in slot order, then one output, and returns one (xs, z).
-    Exact mode also takes a :class:`PartialPermutation` target, read lazily:
-    the walk forks at each target read (see `_reprogram_edit`), and the
-    distribution is over ((xs), (z), target as read), each branch weighted
-    by its forks.  By linearity this is the expectation over uniform targets.
+    against a permutation.  Exact mode branches over every measurement
+    outcome and returns the full distribution over ((xs), (z)).  It also
+    takes a :class:`PartialPermutation` target, read lazily: the walk forks
+    at each target read (see `_reprogram_edit`), and the distribution is
+    over ((xs), (z), target as read), each branch weighted by its forks.  By
+    linearity this is the expectation over uniform targets.  Sample mode
+    runs `sample_quantum_batch` on a batch of one and returns one (xs, z).
     `trace`, if given, receives one record per visited slot; in exact mode
     that is every slot of every branch and fork, in depth-first order.
     """
@@ -313,21 +328,21 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
         raise PreconditionError("the quantum simulator needs timing flags")
     require_oracle_key(base, circuit.key)
     lazy = isinstance(target, PartialPermutation)
-    measured_regs = circuit.query_registers()
-    slot_map = choice.slot_map()
-    if mode == "exact":
-        def outcomes(state):
-            return measurement_branches(state, measured_regs)
-    elif mode == "sample":
+    if mode == "sample":
         if rng is None:
             raise DomainError("sample mode needs an rng")
         if lazy:
             raise PreconditionError("sample mode needs a concrete target")
-
-        def outcomes(state):
-            return (sample_measurement(state, measured_regs, rng),)
-    else:
+        menu = _index_menu(circuit.num_slots, True)
+        picks = np.array([[menu.index(guess) for guess in zip(
+            choice.slots, choice.miss_flags, choice.after_flags)]], dtype=np.int64)
+        xs, z = sample_quantum_batch(adv, _stack(base), rng, picks, _CountedReads(_stack(target)),
+                                     None if trace is None else [trace])
+        return tuple(xs[0].tolist()), tuple(z[0].tolist())
+    if mode != "exact":
         raise DomainError(f"unknown mode {mode!r}")
+    measured_regs = circuit.query_registers()
+    slot_map = choice.slot_map()
 
     def final_states(state, current, read, weight, i):
         """(final state, target as read, weight) of each branch from slot i
@@ -345,7 +360,7 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
         tag, j = circuit.slot_tags[i - 1], slot_map[i]
         after = choice.after_flags[j]
         unitary = circuit.unitaries[i]
-        for value, sub in outcomes(state):
+        for value, sub in measurement_branches(state, measured_regs):
             point = (value,) if circuit.key is None else value
             if after:  # answered by the table before the edit, the same for every fork
                 answered = unitary.apply(apply_oracle(sub, current, tag, circuit.query,
@@ -361,8 +376,6 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                 yield from final_states(answered, updated, fork, weight * fork_weight, i + 1)
 
     final = final_states(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, target, 1, 1)
-    if mode == "sample":
-        return adv.sample_output(next(final)[0], rng)
     dist: dict = {}
     last = None
     for state, read, weight in final:
@@ -373,6 +386,105 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                 key += (read,)
             dist[key] = dist.get(key, 0.0) + p * weight
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Sampled quantum simulator over a batch of trials
+
+
+def _stack(oracle) -> PermutationStack:
+    """A permutation or cipher as a one-row table stack."""
+    return PermutationStack.from_keys(oracle.perms if isinstance(oracle, Cipher) else (oracle,))
+
+
+class _CountedReads:
+    """The external oracles of a batch, one per row, read only through
+    `read`, which counts every read against its row."""
+
+    def __init__(self, oracles: PermutationStack):
+        self.oracles = oracles
+        self.calls = np.zeros(len(oracles), dtype=np.int64)
+
+    def read(self, rows, keys, points, forward) -> np.ndarray:
+        np.add.at(self.calls, rows, 1)
+        return self.oracles.lookup(rows, keys, points, forward)
+
+
+def _edit_rows(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
+               base: PermutationStack, external: _CountedReads) -> tuple:
+    """`_reprogram_edit` for the guessed rows of a batch, as arrays (xs, ys)
+    of the edits x -> y under each row's key.  A hit reads the external
+    oracle at the query value in the slot's direction; a miss routes the
+    value through the row's internal base table first, then reads in the
+    opposite direction."""
+    forward = np.full(len(rows), tag == FORWARD)
+    flip = miss == MISS
+    points = np.where(flip, base.lookup(rows, keys, points, forward), points)
+    forward ^= flip
+    values = external.read(rows, keys, points, forward)
+    return np.where(forward, points, values), np.where(forward, values, points)
+
+
+def sample_quantum_batch(adv: QuantumAdversary, base: PermutationStack, rng,
+                         picks: Optional[np.ndarray] = None,
+                         external: Optional[_CountedReads] = None,
+                         traces: Optional[Sequence[list]] = None) -> tuple:
+    """One sampled measure-and-reprogram run per row of `base`, all rows in
+    one batch state (`qsim.batch_state`).
+
+    Row r starts from base row r and guesses the choice `picks[r]` (menu
+    indices, as `sample_sim_choices` draws them); without `picks` no slot is
+    guessed and each row runs the plain circuit.  Each slot costs one gather
+    from the rows' current tables and one pass of the slot's gates.  At a
+    slot some rows guess, those rows' query registers are measured with one
+    row-wise draw, and each guessing row's table gets its edit, reading
+    `external` row r (see `_edit_rows`); a row guessing "after" is answered
+    by its table before the edit, the others by the edited tables.  Then one
+    row-wise draw measures the outputs.  Returns (xs, z), int arrays with one
+    row per trial.  `traces`, one list per row, receive each row's slot
+    records as `run_quantum_sim` writes them.
+    """
+    circuit = adv.circuit
+    keyed = circuit.key is not None
+    if base.fwd.shape[1] != (circuit.regs.dim(circuit.key) if keyed else 1):
+        raise PreconditionError(f"{base.fwd.shape[1]} table(s) per row do not match the "
+                                "circuit's key register")
+    rows = len(base)
+    index = (TRIAL, circuit.key) if keyed else (TRIAL,)
+    measured = circuit.query_registers()
+    slot_of, miss_of, after_of = _menu_columns(circuit.num_slots, True)
+    guessed = slot_of[picks] if picks is not None else np.zeros((rows, 0), dtype=np.int64)
+    tables = base.copy()
+    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), rows)
+    for i, tag in enumerate(circuit.slot_tags, 1):
+        answer = tables.fwd if tag == FORWARD else tables.inv
+        at_slot = guessed == i
+        live = at_slot.any(axis=1)
+        hit = np.flatnonzero(live)
+        entries = {}
+        if len(hit):
+            pick = picks[hit, at_slot[hit].argmax(axis=1)]
+            values, state = sample_rows(state, measured, rng, live)
+            keys = values[hit, 0] if keyed else 0
+            xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], base, external)
+            after = np.zeros(rows, dtype=bool)
+            after[hit] = after_of[pick] == 1
+            before = answer.copy()
+            tables.reprogram(hit, keys, xs, ys)
+            answer = np.where(after[:, None, None], before, answer)
+            if traces is not None:
+                lead = values[hit, :1] if keyed else np.zeros((len(hit), 0), dtype=np.int64)
+                edits = np.column_stack([lead, xs, ys]).tolist()
+                for r, point, edit in zip(hit.tolist(), values[hit].tolist(), edits):
+                    entries[r] = _trace_entry(i, tag, tuple(point), tuple(edit),
+                                              "after" if after[r] else "before")
+        if traces is not None:
+            for r, trace in enumerate(traces):
+                trace.append(entries.get(r) or _trace_entry(i, tag, None, None, None))
+        state = circuit.unitaries[i].apply(gather(state, answer, index, circuit.query,
+                                                  circuit.response))
+    values, _ = sample_rows(state, adv.x_regs + adv.z_regs, rng)
+    return values[:, :len(adv.x_regs)], values[:, len(adv.x_regs):]
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +610,8 @@ class LiftedAdversary(ClassicalAdversary):
 
     On each run it draws a fresh internal permutation and a simulator choice,
     then runs the appropriate measure-and-reprogram experiment with the
-    external oracle standing in for the target.  At most one external query
-    is spent per non-None guessed index, so the budget k always holds.
+    external oracle standing in for the target.  Every external read is
+    counted per run, and a run that reads more than k times raises.
     """
 
     def __init__(self, inner, k: int, domain: int):
@@ -511,18 +623,34 @@ class LiftedAdversary(ClassicalAdversary):
         self.last_external_calls = 0
 
     def run(self, oracle, rng=None):
+        """One run against `oracle`; a quantum inner adversary runs as
+        `run_batch` on a batch of one."""
         if rng is None:
             raise DomainError("the lifted adversary needs an rng")
+        if isinstance(self.inner, QuantumAdversary):
+            xs, z = self.run_batch(_stack(oracle), rng)
+            self.last_external_calls = int(self.last_external_calls[0])
+            return tuple(xs[0].tolist()), tuple(z[0].tolist())
         counter = _CountingOracle(oracle)
         base = Permutation.random(self.domain, rng)
-        if isinstance(self.inner, QuantumAdversary):
-            choice = sample_sim_choice(self.inner.circuit.num_slots, self.k, True, rng)
-            out = run_quantum_sim(self.inner, base, counter, choice, mode="sample", rng=rng)
-        else:
-            choice = sample_sim_choice(self.inner.budget, self.k, False, rng)
-            out = run_classical_sim(self.inner, base, counter, choice, rng=rng)
+        choice = sample_sim_choice(self.inner.budget, self.k, False, rng)
+        out = run_classical_sim(self.inner, base, counter, choice, rng=rng)
         self.last_external_calls = counter.calls
         if counter.calls > self.k:
+            raise ProtocolError("lifted adversary exceeded its external budget")
+        return out
+
+    def run_batch(self, oracles: PermutationStack, rng) -> tuple:
+        """One run of a quantum inner adversary per row of `oracles`, as one
+        `sample_quantum_batch`; returns its (xs, z) and leaves the external
+        reads of each row in ``last_external_calls``."""
+        rows = len(oracles)
+        base = PermutationStack.random(rows, self.domain, rng)
+        picks = sample_sim_choices(self.inner.circuit.num_slots, self.k, True, rng, rows)
+        external = _CountedReads(oracles)
+        out = sample_quantum_batch(self.inner, base, rng, picks, external)
+        self.last_external_calls = external.calls
+        if (external.calls > self.k).any():
             raise ProtocolError("lifted adversary exceeded its external budget")
         return out
 

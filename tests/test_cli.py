@@ -83,25 +83,28 @@ def test_trace_rejects_interactive_kind(capsys):
     assert "argument --kind: invalid choice: 'interactive'" in err
 
 
-@pytest.mark.parametrize("args", [
-    ["--kind", "classical", "--n", "4", "--q", "1", "--k", "2"],  # 24^2 * 5 runs
-    ["--kind", "interactive", "--n", "4"],  # 24^2 * (4 * 1 + 1) runs
-])
-def test_verify_lifting_cost_counts_the_enumerated_choices(args, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 2000)
+@pytest.mark.parametrize("args,cost", [
+    (["--kind", "classical", "--n", "5", "--q", "1", "--k", "2"], 72000),  # 120^2 * 5 runs
+    (["--kind", "interactive", "--n", "4"], 2880),  # 24^2 * (4 * 1 + 1) runs
+], ids=["args0", "args1"])
+def test_verify_lifting_cost_counts_the_enumerated_choices(args, cost, monkeypatch, capsys):
+    # k^2 < n in both: a vacuous verdict would price the adversary side alone
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", cost - 1)
     assert run_cli(["verify-lifting"] + args) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "2880 cases" in err and "ceiling 2000" in err
+    assert f"{cost} cases" in err and f"ceiling {cost - 1}" in err
 
 
 def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
-    # 6!^2 * 37 choices at q=2, k=3; without the k exponent it read 2,592,000.
-    # With no adversaries a missed ceiling exits 0 at once instead of running.
+    # 5!^2 * 17 choices at q=2, k=2; without the k exponent it read 72,000,
+    # under the ceiling.  With no adversaries a missed ceiling exits 0 at once
+    # instead of running.
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 100_000)
     monkeypatch.setattr(cli, "classical_battery", lambda n: [])
-    code = run_cli(["verify-lifting", "--kind", "classical", "--n", "6", "--q", "2",
-                    "--k", "3"])
+    code = run_cli(["verify-lifting", "--kind", "classical", "--n", "5", "--q", "2",
+                    "--k", "2"])
     assert code == EXIT_CONFIG
-    assert "19180800 cases" in capsys.readouterr().err
+    assert "244800 cases" in capsys.readouterr().err
 
 
 def test_verify_lifting_quantum_cost_counts_forked_walks(monkeypatch, capsys):
@@ -161,6 +164,24 @@ def test_verify_decomposition_rejects_monte_carlo(monkeypatch, capsys):
     monkeypatch.setattr(cli, "quantum_battery", lambda n: [])
     assert run_cli(["verify-decomposition", "--n", "4", "--mode", "monte-carlo"]) == EXIT_CONFIG
     assert "--mode monte-carlo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,lift", [
+    (["--kind", "quantum", "--n", "8", "--k", "3", "--game", "fixed-point"],
+     "quantum_lift_exact"),
+    (["--kind", "interactive", "--n", "7", "--k", "3", "--game", "output-guess"],
+     "interactive_lift_exact"),
+])
+def test_vacuous_verdict_prices_only_the_adversary_side(monkeypatch, capsys, argv, lift):
+    # k^2 >= n makes the verdict vacuous and leaves the lifted side unrun, so
+    # only n! adversary runs are priced; pricing both sides named 255,548,160
+    # and 330,220,800 cases.  The lift is stubbed: only the pricing runs.
+    class Vacuous:
+        def to_dict(self):
+            return {"holds": True, "vacuous": True}
+
+    monkeypatch.setattr(cli, lift, lambda *args: Vacuous())
+    assert run_cli(["verify-lifting", *argv]) == EXIT_OK, capsys.readouterr().err
 
 
 def test_verify_lifting_unknown_game():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlift import lifting
+from permlift import lifting, simulators
 from permlift.battery import (
     BlindGuess,
     FixedPointSeeker,
@@ -15,6 +15,7 @@ from permlift.battery import (
     classical_battery,
     qa_basis_probe,
     qa_superposed_seeker,
+    qa_two_query_prober,
     qa_value_reporter,
     quantum_battery,
 )
@@ -137,17 +138,17 @@ def test_quantum_mr_reprogrammed_run_wins_reporter():
 
 def test_quantum_monte_carlo_enforces_the_lifted_budget(monkeypatch):
     # an edit that consults the external oracle twice makes the lifted
-    # algorithm spend 2 queries at k=1; the MC driver must refuse the run
-    from permlift import simulators
+    # algorithm spend 2 queries at k=1; Monte Carlo lifting must refuse the run.
+    # The batched walk reads the external tables in `_edit_rows`.
     from permlift.errors import ProtocolError
 
-    real = simulators._reprogram_edit
+    real = simulators._edit_rows
 
-    def greedy(tag, miss, point, base, target):
-        target.forward(*point)
-        return real(tag, miss, point, base, target)
+    def greedy(tag, miss, rows, keys, points, base, external):
+        external.read(rows, keys, points, np.full(len(rows), tag == "forward"))
+        return real(tag, miss, rows, keys, points, base, external)
 
-    monkeypatch.setattr(simulators, "_reprogram_edit", greedy)
+    monkeypatch.setattr(simulators, "_edit_rows", greedy)
     with pytest.raises(ProtocolError, match="external budget"):
         quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
                                  trials=200, seed=3)
@@ -283,3 +284,88 @@ def test_wrong_fork_weight_fails_the_cross_check(monkeypatch, lazy_references):
         for value, weight, extended in real(self, direction, v)))
     gaps = _lazy_gaps(lazy_references)
     assert gaps[-1] > 1 and sum(gap > 1 for gap in gaps[:-1]) > 0
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo against the exact expectations
+
+
+MC_RELATIONS = (relation_fixed_point(4), relation_double_sided_zero(1), relation_output_guess(4))
+#: (adversary, relation, k): every n=4 battery circuit at k=1, and the 2-slot
+#: circuits at k=2, whose choices the batched draw rejects row by row
+MC_PAIRS = [(adv, rel, 1) for rel in MC_RELATIONS for adv in quantum_battery(4)]
+MC_PAIRS += [(adv, rel, 2) for rel in MC_RELATIONS for adv in quantum_battery(4)
+             if adv.circuit.num_slots == 2]
+MC_TRIALS = 20_000
+
+
+@pytest.fixture(scope="module")
+def exact_sides():
+    """(p_adversary, p_lifted) of each MC pair, exactly; p_adversary is None
+    at k=2, where the factor is 0 and only the lifted side is compared."""
+    out = []
+    for adv, rel, k in MC_PAIRS:
+        if k == 1:
+            report = quantum_lift_exact(adv, rel, 1)
+            out.append((report.p_adversary, report.p_lifted))
+        else:
+            out.append((None, quantum_lifted_win_exact(adv, rel, 2)))
+    return out
+
+
+def _sigmas(exact, estimate, trials):
+    """|estimate - exact| in binomial sigmas of `trials` draws at p = exact."""
+    gap = abs(estimate - exact)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    return gap / sigma if sigma > 0 else (0.0 if gap < 1e-9 else math.inf)
+
+
+def _mc_gaps(exact_sides):
+    """Per pair, the larger distance of the two MC sides from the exact ones."""
+    gaps = []
+    for (adv, rel, k), (p_a, p_b) in zip(MC_PAIRS, exact_sides):
+        report = quantum_lift_monte_carlo(adv, rel, MC_TRIALS, seed=2025, k=k)
+        gap = _sigmas(p_b, report.p_lifted, MC_TRIALS)
+        if p_a is not None:
+            gap = max(gap, _sigmas(p_a, report.p_adversary, MC_TRIALS))
+        gaps.append(gap)
+    return gaps
+
+
+def test_monte_carlo_agrees_with_the_exact_lift(exact_sides):
+    assert len(MC_PAIRS) == 21
+    gaps = _mc_gaps(exact_sides)
+    assert max(gaps) <= 4, [(adv.name, rel.name, k, gap)
+                            for (adv, rel, k), gap in zip(MC_PAIRS, gaps) if gap > 4]
+
+
+def test_answers_from_the_pre_edit_table_fail_the_cross_check(monkeypatch, exact_sides):
+    # every guessed slot answered as if reprogrammed after the answer: the
+    # value reporter then reports the internal table, which wins 1/4
+    real = simulators._menu_columns
+
+    def always_after(num_slots, with_timing):
+        slot, miss, after = real(num_slots, with_timing)
+        return slot, miss, np.ones_like(after)
+
+    monkeypatch.setattr(simulators, "_menu_columns", always_after)
+    assert sum(gap > 4 for gap in _mc_gaps(exact_sides)) > 0
+    reporter = quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
+                                        MC_TRIALS, seed=2025)
+    assert _sigmas(0.25, reporter.p_lifted, MC_TRIALS) <= 4
+
+
+def test_reports_carry_their_margin():
+    rel = relation_output_guess(4)
+    exact = quantum_lift_exact(qa_value_reporter(4), rel)
+    assert exact.margin == exact.p_lifted - float(exact.factor) * exact.p_adversary > 0
+    assert exact.to_dict()["margin"] == exact.margin
+    vacuous = quantum_lift_exact(qa_basis_probe(4), relation_fixed_point(4), k=2)
+    assert vacuous.margin is None and vacuous.to_dict()["margin"] is None
+    classical = classical_lift_exact(ValueReporter(4, x=1), rel).to_dict()
+    # the reporter always wins, its lift 7/12 of the time, at factor 1/4
+    assert classical["margin"] == pytest.approx(7 / 12 - 1 / 4)
+    runs = [quantum_lift_monte_carlo(qa_two_query_prober(16), relation_fixed_point(16),
+                                     300, seed=3).to_dict() for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0]["margin_sigmas"] == runs[0]["margin"] / runs[0]["sigma"]

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from permlift.perms import (
     HitMiss,
     PartialPermutation,
     Permutation,
+    PermutationStack,
     all_permutations,
     bad_fraction,
     bad_probability_bound,
@@ -211,3 +213,23 @@ def test_partial_permutation_completions_and_identity():
     assert read.completions((0,)) == [((3,), 1)]
     with pytest.raises(DomainError):
         unread.forks("forward", 4)
+
+
+def test_stack_row_edit_is_reprogram_on_every_case():
+    # one row per (pi, x, y) at n=4, all edited by one call
+    cases = [(pi, x, y) for pi in all_permutations(4) for x in range(4) for y in range(4)]
+    stack = PermutationStack(np.array([[pi.fwd] for pi, _, _ in cases]))
+    xs, ys = np.array([[x, y] for _, x, y in cases]).T
+    stack.reprogram(np.arange(len(cases)), 0, xs, ys)
+    for row, (pi, x, y) in enumerate(cases):
+        edited = reprogram(pi, x, y)
+        assert tuple(stack.fwd[row, 0].tolist()) == edited.fwd
+        assert tuple(stack.inv[row, 0].tolist()) == edited.inv
+
+
+def test_stack_draws_as_permutation_random_does():
+    rng, same = np.random.default_rng(4), np.random.default_rng(4)
+    stack = PermutationStack.random(6, 8, rng)
+    assert [tuple(row[0].tolist()) for row in stack.fwd] == [
+        Permutation.random(8, same).fwd for _ in range(6)]
+    assert rng.random() == same.random()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from permlift.battery import (
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, run_circuit
 from permlift.ciphers import Cipher
 from permlift.errors import DomainError, PreconditionError, ProtocolError
-from permlift.perms import Permutation, all_permutations, hit_miss_queries, is_good_pair
+from permlift.perms import (Permutation, PermutationStack, all_permutations, hit_miss_queries,
+                            is_good_pair)
 from permlift import simulators
 from permlift.qsim import measure_distribution
 from permlift.simulators import (
@@ -31,7 +33,9 @@ from permlift.simulators import (
     options_per_index,
     run_classical_sim,
     run_quantum_sim,
+    sample_quantum_batch,
     sample_sim_choice,
+    sample_sim_choices,
     sim_choice_space,
 )
 
@@ -96,6 +100,21 @@ def test_sampler_uniform_with_constraint_q2_k2():
     sigma = math.sqrt(draws * (1 / len(space)) * (1 - 1 / len(space)))
     for v in counts.values():
         assert abs(v - expect) <= 3 * sigma
+
+
+def test_batched_choices_are_uniform_over_the_constrained_set():
+    # k=2 over 2 timed slots: 81 menu pairs, 49 valid; a row guessing one slot
+    # twice is drawn again alone
+    rows = 49_000
+    picks = sample_sim_choices(2, 2, True, np.random.default_rng(14), rows)
+    menu = simulators._index_menu(2, True)
+    counts = Counter(simulators._combined_choice([menu[p] for p in row], True)
+                     for row in picks.tolist())
+    space = set(sim_choice_space(2, 2, True))
+    assert set(counts) == space
+    share = 1 / len(space)
+    sigma = math.sqrt(rows * share * (1 - share))
+    assert all(abs(c - rows * share) <= 4 * sigma for c in counts.values())
 
 
 def test_zero_slots_always_bottom():
@@ -308,6 +327,27 @@ def test_quantum_sample_agrees_with_exact_statistics():
             continue
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(counts.get(key, 0) / draws - p) <= 4 * sigma + 1e-3
+
+
+@pytest.mark.parametrize("choice", [SimChoice((1,), (HIT,), (0,)), SimChoice((2,), (MISS,), (1,))])
+def test_batched_walk_rows_agree_with_exact_statistics(choice):
+    # one batch of 20,000 rows of the same experiment, every draw made row-wise
+    base = Permutation([1, 0, 3, 2])
+    target = Permutation([2, 3, 0, 1])
+    adv = qa_phase_sampler(4)
+    exact = run_quantum_sim(adv, base, target, choice, mode="exact")
+    rows = 20_000
+    pick = simulators._index_menu(2, True).index(
+        (choice.slots[0], choice.miss_flags[0], choice.after_flags[0]))
+    external = simulators._CountedReads(PermutationStack(np.tile(target.fwd, (rows, 1, 1))))
+    xs, z = sample_quantum_batch(adv, PermutationStack(np.tile(base.fwd, (rows, 1, 1))),
+                                 np.random.default_rng(15), np.full((rows, 1), pick), external)
+    assert (external.calls == 1).all()
+    counts = Counter(zip(map(tuple, xs.tolist()), map(tuple, z.tolist())))
+    assert set(counts) <= {key for key, p in exact.items() if p > 1e-12}
+    for key, p in exact.items():
+        sigma = math.sqrt(p * (1 - p) / rows)
+        assert abs(counts.get(key, 0) / rows - p) <= 4 * sigma + 1e-9
 
 
 # ---------------------------------------------------------------------------
