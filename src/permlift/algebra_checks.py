@@ -1,10 +1,12 @@
 """Exhaustive verification suites for the reprogramming algebra.
 
 Each check enumerates every instance in its stated range and counts
-violations; a healthy build reports zero everywhere.  Hot loops run over raw
-permutation tables (numpy arrays of all n! rows) for speed; the scalar
-implementations in :mod:`permlift.perms` are cross-checked against the
-batched primitives at small sizes.
+violations; a healthy build reports zero everywhere.  Every suite folds its
+edits with :meth:`permlift.perms.PermutationStack.reprogram`, the in-place
+table edit the Monte Carlo walk runs, over a stack of all n! tables, and
+tests goodness with :func:`permlift.perms.good_pair_mask`.
+:func:`cross_check_batched` ties that edit to the scalar
+:func:`permlift.perms.reprogram`, the edit of the exact simulators.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import perms
-from .ciphers import Cipher, all_ciphers, cipher_is_good_pair
 from .errors import CapabilityError
-from .perms import Permutation, all_permutations
+from .perms import BLOCK_ROWS, Permutation, PermutationStack, good_pair_mask
 
 ALGEBRA_CEILING = 7
+#: Most target ciphers :func:`check_cipher_bad_probability` holds as one array.
+CIPHER_TARGET_CEILING = math.factorial(5) ** 2
 
 
 @dataclass
@@ -40,31 +42,40 @@ class CheckResult:
                 "violations": self.violations, "ok": self.ok, "notes": self.notes}
 
 
-def _perm_table(n: int) -> np.ndarray:
+def _perm_stack(n: int) -> PermutationStack:
+    """All n! permutations in lexicographic order, one row each."""
     if n > ALGEBRA_CEILING:
         raise CapabilityError(f"exhaustive algebra checks over {n}! = {math.factorial(n)} "
                               f"permutations exceed the ceiling n <= {ALGEBRA_CEILING}")
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    return PermutationStack(np.array(list(itertools.permutations(range(n))))[:, None, :])
 
 
-def _inverse_all(tables: np.ndarray) -> np.ndarray:
-    return np.argsort(tables, axis=1)
-
-
-def batched_reprogram(tables: np.ndarray, inverses: np.ndarray, x: int, y: int):
-    """Apply the single-pair edit to every row at once."""
-    rows = np.arange(tables.shape[0])
-    out = tables.copy()
-    out[rows, inverses[:, y]] = tables[:, x]
-    out[:, x] = y
-    return out, np.argsort(out, axis=1)
-
-
-def batched_reprogram_seq(tables: np.ndarray, pairs) -> np.ndarray:
-    invs = _inverse_all(tables)
+def _fold(stack: PermutationStack, pairs) -> PermutationStack:
+    """A copy of `stack` with every pair folded into every row, left to right;
+    a pair's x and y are scalars or one value per row."""
+    out = stack.copy()
+    rows = np.arange(len(out))
     for x, y in pairs:
-        tables, invs = batched_reprogram(tables, invs, x, y)
-    return tables
+        out.reprogram(rows, 0, x, y)
+    return out
+
+
+def _hit_miss_rows(stack: PermutationStack, xs: list):
+    """Every good (base, target) pair of rows of `stack` for the marked inputs
+    xs, in blocks of about BLOCK_ROWS pairs: a stack of the bases and the
+    pairs' x_hit, x_miss, y_hit and y_miss values, one row per pair."""
+    targets = stack.fwd[:, 0, xs]
+    step = max(1, BLOCK_ROWS // len(stack))
+    for lo in range(0, len(stack), step):
+        b, t = np.nonzero(good_pair_mask(stack.fwd[lo:lo + step, :, xs], targets))
+        base, y_hit = PermutationStack(stack.fwd[lo + b]), targets[t]
+        yield (base, np.broadcast_to(xs, y_hit.shape),
+               base.inv[np.arange(len(b))[:, None], 0, y_hit], y_hit, base.fwd[:, 0, xs])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Whether each row's entries are pairwise distinct."""
+    return (np.diff(np.sort(values, axis=1), axis=1) != 0).all(axis=1)
 
 
 def _all_pair_seqs(n: int, k: int):
@@ -73,94 +84,73 @@ def _all_pair_seqs(n: int, k: int):
 
 def check_inverse_law(n: int, max_k: int = 2) -> CheckResult:
     """inverse(fold(pi, pairs)) == fold(inverse(pi), swapped pairs), all pairs."""
-    tables = _perm_table(n)
-    invs = _inverse_all(tables)
-    cases = 0
-    violations = 0
+    stack = _perm_stack(n)
+    inverses = PermutationStack(stack.inv)
+    cases = violations = 0
     for k in range(1, max_k + 1):
         for pairs in _all_pair_seqs(n, k):
-            cases += tables.shape[0]
-            lhs = np.argsort(batched_reprogram_seq(tables, pairs), axis=1)
-            rhs = batched_reprogram_seq(invs, [(y, x) for x, y in pairs])
-            violations += int(np.any(lhs != rhs, axis=1).sum())
+            cases += len(stack)
+            lhs = np.argsort(_fold(stack, pairs).fwd, axis=-1)
+            rhs = _fold(inverses, [(y, x) for x, y in pairs]).fwd
+            violations += int(np.any(lhs != rhs, axis=(1, 2)).sum())
     return CheckResult("inverse-law", cases, violations, f"n={n}, k<={max_k}")
-
-
-def _disjoint_pair_sets(n: int, k: int):
-    """Unordered sets of k pairwise-disjoint pairs."""
-    for xs in itertools.combinations(range(n), k):
-        for ys in itertools.permutations(range(n), k):
-            pairs = tuple(zip(xs, ys))
-            yield pairs
 
 
 def check_commutativity(n: int, k: int) -> CheckResult:
     """Every ordering of disjoint pairs folds to the same table."""
-    tables = _perm_table(n)
-    cases = 0
-    violations = 0
-    for pairs in _disjoint_pair_sets(n, k):
-        reference = batched_reprogram_seq(tables, pairs)
-        for order in itertools.permutations(pairs):
-            if order == pairs:
-                continue
-            cases += tables.shape[0]
-            other = batched_reprogram_seq(tables, order)
-            violations += int(np.any(reference != other, axis=1).sum())
+    stack = _perm_stack(n)
+    cases = violations = 0
+    # each unordered set of k disjoint pairs once: its xs in increasing order
+    for xs in itertools.combinations(range(n), k):
+        for ys in itertools.permutations(range(n), k):
+            pairs = tuple(zip(xs, ys))
+            reference = _fold(stack, pairs).fwd
+            for order in itertools.permutations(pairs):
+                if order == pairs:
+                    continue
+                cases += len(stack)
+                other = _fold(stack, order).fwd
+                violations += int(np.any(reference != other, axis=(1, 2)).sum())
     return CheckResult("commutativity", cases, violations, f"n={n}, k={k}")
 
 
 def check_good_closed_form(n: int, max_k: int = 2) -> CheckResult:
     """On good tuples the fold equals the three-case closed form pointwise."""
-    cases = 0
-    violations = 0
-    for pi in all_permutations(n):
-        for k in range(1, max_k + 1):
-            for pairs in itertools.product(itertools.product(range(n), repeat=2), repeat=k):
-                if not perms.is_good_tuple(pi, pairs):
-                    continue
-                cases += 1
-                folded = perms.reprogram_seq(pi, pairs)
-                expect = list(pi.fwd)
-                for x, y in pairs:
-                    expect[x] = y
-                    expect[pi.inv[y]] = pi.fwd[x]
-                if folded.fwd != tuple(expect):
-                    violations += 1
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for k in range(1, max_k + 1):
+        for pairs in _all_pair_seqs(n, k):
+            if not perms.is_disjoint(pairs):
+                continue
+            xs, ys = (list(side) for side in zip(*pairs))
+            good = PermutationStack(stack.fwd[good_pair_mask(stack.fwd[:, 0, xs], np.array(ys))])
+            base, base_inv = good.fwd[:, 0], good.inv[:, 0]
+            cases += len(good)
+            expect = base.copy()
+            for x, y in pairs:
+                expect[:, x] = y
+                expect[np.arange(len(good)), base_inv[:, y]] = base[:, x]
+            violations += int(np.any(_fold(good, pairs).fwd[:, 0] != expect, axis=1).sum())
     return CheckResult("good-closed-form", cases, violations, f"n={n}, k<={max_k}")
 
 
 def check_hit_miss_form(n: int, max_k: int = 2) -> CheckResult:
     """On good pairs the fold maps x_hit -> y_hit and x_miss -> y_miss and
     fixes everything else; hit/miss values never collide."""
-    cases = 0
-    violations = 0
-    perm_list = list(all_permutations(n))
-    for base in perm_list:
-        for target in perm_list:
-            for k in range(1, max_k + 1):
-                for xs in itertools.permutations(range(n), k):
-                    if not perms.is_good_pair(base, target, xs):
-                        continue
-                    cases += 1
-                    hm = perms.hit_miss_queries(base, target, xs)
-                    folded = perms.reprogram_seq(
-                        base, list(zip(hm.x_hit, hm.y_hit)))
-                    ok = True
-                    xside = hm.x_hit + hm.x_miss
-                    yside = hm.y_hit + hm.y_miss
-                    if len(set(xside)) != 2 * k or len(set(yside)) != 2 * k:
-                        ok = False
-                    for j in range(k):
-                        if folded.fwd[hm.x_hit[j]] != hm.y_hit[j]:
-                            ok = False
-                        if folded.fwd[hm.x_miss[j]] != hm.y_miss[j]:
-                            ok = False
-                    for x in range(n):
-                        if x not in xside and folded.fwd[x] != base.fwd[x]:
-                            ok = False
-                    if not ok:
-                        violations += 1
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for k in range(1, max_k + 1):
+        for xs in itertools.permutations(range(n), k):
+            for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
+                xside = np.hstack([x_hit, x_miss])
+                yside = np.hstack([y_hit, y_miss])
+                folded = _fold(base, zip(xs, y_hit.T)).fwd[:, 0]
+                ok = (_distinct(xside) & _distinct(yside)
+                      & (np.take_along_axis(folded, xside, axis=1) == yside).all(axis=1)
+                      & ((_touched_by(n, x_hit, x_miss) >= 0)
+                         | (folded == base.fwd[:, 0])).all(axis=1))
+                cases += len(ok)
+                violations += int((~ok).sum())
     return CheckResult("hit-miss-form", cases, violations, f"n={n}, k<={max_k}")
 
 
@@ -170,67 +160,64 @@ def _subset_orders(k: int):
             yield subset
 
 
+def _touched_by(n: int, hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+    """Per row and point of one side, the index j whose hit or miss value
+    the point is, or -1 for a point no index touches."""
+    out = np.full((len(hits), n), -1)
+    rows = np.arange(len(hits))
+    for j in range(hits.shape[1]):
+        out[rows, hits[:, j]] = j
+        out[rows, misses[:, j]] = j
+    return out
+
+
+def _agrees(touched: np.ndarray, order: tuple, base: np.ndarray, part: np.ndarray,
+            full: np.ndarray) -> np.ndarray:
+    """Per row of one side: the partial fold equals the base and the full fold
+    on every untouched point, and the full fold where `order` has fired."""
+    base, part, full = base[:, 0], part[:, 0], full[:, 0]
+    return np.where(touched < 0, (part == base) & (base == full),
+                    ~np.isin(touched, order) | (part == full)).all(axis=1)
+
+
 def check_partial_reprogramming(n: int, max_k: int = 2) -> CheckResult:
     """Partial folds agree with the base off the touched points and with the
     full fold on every touched point whose index has fired, on both sides."""
-    cases = 0
-    violations = 0
-    perm_list = list(all_permutations(n))
-    for base in perm_list:
-        for target in perm_list:
-            for k in range(1, max_k + 1):
-                for xs in itertools.permutations(range(n), k):
-                    if not perms.is_good_pair(base, target, xs):
-                        continue
-                    hm = perms.hit_miss_queries(base, target, xs)
-                    pairs = list(zip(hm.x_hit, hm.y_hit))
-                    full = perms.reprogram_seq(base, pairs)
-                    touched_x = {v: j for j in range(k)
-                                 for v in (hm.x_hit[j], hm.x_miss[j])}
-                    touched_y = {v: j for j in range(k)
-                                 for v in (hm.y_hit[j], hm.y_miss[j])}
-                    for order in _subset_orders(k):
-                        cases += 1
-                        part = perms.reprogram_seq(base, [pairs[j] for j in order])
-                        ok = True
-                        for x in range(n):
-                            j = touched_x.get(x)
-                            if j is None:
-                                if not (part.fwd[x] == base.fwd[x] == full.fwd[x]):
-                                    ok = False
-                            elif j in order and part.fwd[x] != full.fwd[x]:
-                                ok = False
-                        for y in range(n):
-                            j = touched_y.get(y)
-                            if j is None:
-                                if not (part.inv[y] == base.inv[y] == full.inv[y]):
-                                    ok = False
-                            elif j in order and part.inv[y] != full.inv[y]:
-                                ok = False
-                        if not ok:
-                            violations += 1
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for k in range(1, max_k + 1):
+        for xs in itertools.permutations(range(n), k):
+            for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
+                x_side = _touched_by(n, x_hit, x_miss)
+                y_side = _touched_by(n, y_hit, y_miss)
+                pairs = list(zip(xs, y_hit.T))
+                # the reference's inverse tables are argsort of its forward
+                # tables, not the edit's own bookkeeping, so a stale inverse shows
+                full = PermutationStack(_fold(base, pairs).fwd)
+                for order in _subset_orders(k):
+                    part = _fold(base, [pairs[j] for j in order])
+                    ok = (_agrees(x_side, order, base.fwd, part.fwd, full.fwd)
+                          & _agrees(y_side, order, base.inv, part.inv, full.inv))
+                    cases += len(ok)
+                    violations += int((~ok).sum())
     return CheckResult("partial-reprogramming", cases, violations, f"n={n}, k<={max_k}")
 
 
 def check_uniformity(n: int = 4) -> CheckResult:
     """Over all good pairs for a fixed marked input, the reprogrammed table
     hits every permutation equally often (exact count equality)."""
-    cases = 0
-    violations = 0
-    perm_list = list(all_permutations(n))
+    stack = _perm_stack(n)
+    digits = n ** np.arange(n)
+    cases = violations = 0
     for x_star in range(n):
-        counts: dict = {}
-        total = 0
-        for base in perm_list:
-            for target in perm_list:
-                if not perms.is_good_pair(base, target, (x_star,)):
-                    continue
-                total += 1
-                out = perms.reprogram(base, x_star, target.fwd[x_star])
-                counts[out.fwd] = counts.get(out.fwd, 0) + 1
+        counts = np.zeros(n ** n, dtype=np.int64)
+        for base, _, _, y_hit, _ in _hit_miss_rows(stack, [x_star]):
+            out = _fold(base, [(x_star, y_hit[:, 0])]).fwd[:, 0]
+            counts += np.bincount(out @ digits, minlength=n ** n)
         cases += 1
-        expected, rem = divmod(total, math.factorial(n))
-        if rem or len(counts) != math.factorial(n) or set(counts.values()) != {expected}:
+        hit = counts[counts > 0]
+        expected, rem = divmod(int(counts.sum()), math.factorial(n))
+        if rem or len(hit) != math.factorial(n) or np.any(hit != expected):
             violations += 1
     return CheckResult("uniformity", cases, violations, f"n={n}, k=1")
 
@@ -241,21 +228,18 @@ def bad_fraction_grid(n: int, k: int) -> np.ndarray:
     Returns an array of shape (n!, #tuples): entry [i, t] is the fraction of
     targets breaking goodness for base i and marked tuple t.
     """
-    tables = _perm_table(n)
+    tables = _perm_stack(n).fwd[:, 0]
     tuples = list(itertools.permutations(range(n), k))
     out = np.empty((tables.shape[0], len(tuples)))
     for t, xs in enumerate(tuples):
-        base_vals = tables[:, xs]      # (n!, k): base(x_i)
-        target_vals = tables[:, xs]    # (n!, k): target(x_j)
-        clash = base_vals[:, None, :, None] == target_vals[None, :, None, :]
-        out[:, t] = clash.any(axis=(2, 3)).mean(axis=1)
+        values = tables[:, list(xs)]
+        out[:, t] = (~good_pair_mask(values[:, None], values[None])).mean(axis=1)
     return out
 
 
 def check_bad_probability(n: int, max_k: int = 2) -> CheckResult:
     """Exhaustive bad fraction <= k^2/n for every base and marked tuple."""
-    cases = 0
-    violations = 0
+    cases = violations = 0
     for k in range(1, max_k + 1):
         grid = bad_fraction_grid(n, k)
         bound = k * k / n
@@ -280,23 +264,23 @@ def check_bad_probability_sampled(n: int, k: int, trials: int, seed: int) -> Che
 def check_cipher_bad_probability(key_count: int = 2, n: int = 4,
                                  max_k: int = 2) -> CheckResult:
     """Exhaustive keyed bad fraction <= k^2/n over every target cipher."""
-    cases = 0
-    violations = 0
+    count = math.factorial(n) ** key_count
+    if count > CIPHER_TARGET_CEILING:
+        raise CapabilityError(f"({n}!)^{key_count} = {count} target ciphers exceed the "
+                              f"ceiling {CIPHER_TARGET_CEILING}")
+    # targets[c, key] is target cipher c's table under key
+    targets = np.array(list(itertools.product(_perm_stack(n).fwd[:, 0], repeat=key_count)))
     rng = np.random.default_rng(7)
-    bases = [Cipher.identity(key_count, n), Cipher.random(key_count, n, rng)]
-    targets = list(all_ciphers(key_count, n))
+    bases = [np.tile(np.arange(n), (key_count, 1)),
+             PermutationStack.random(key_count, n, rng).fwd[:, 0]]
     slots = [(key, x) for key in range(key_count) for x in range(n)]
+    cases = violations = 0
     for base in bases:
         for k in range(1, max_k + 1):
-            for marked in itertools.permutations(slots, k):
-                keys = tuple(m[0] for m in marked)
-                xs = tuple(m[1] for m in marked)
-                bad = sum(
-                    1 for t in targets if not cipher_is_good_pair(base, t, keys, xs)
-                )
-                cases += 1
-                if Fraction(bad, len(targets)) > Fraction(k * k, n):
-                    violations += 1
+            keys, xs = np.array(list(itertools.permutations(slots, k))).transpose(2, 0, 1)
+            good = good_pair_mask(base[keys, xs], targets[:, keys, xs]).sum(axis=0)
+            cases += len(good)
+            violations += int(((count - good) * n > k * k * count).sum())
     return CheckResult(
         "cipher-bad-probability", cases, violations,
         f"keys={key_count}, n={n}, k<={max_k}",
@@ -304,17 +288,16 @@ def check_cipher_bad_probability(key_count: int = 2, n: int = 4,
 
 
 def cross_check_batched(n: int = 4) -> CheckResult:
-    """The batched table edit agrees with the scalar implementation."""
-    tables = _perm_table(n)
-    invs = _inverse_all(tables)
-    cases = 0
-    violations = 0
-    for x in range(n):
-        for y in range(n):
-            edited, _ = batched_reprogram(tables, invs, x, y)
-            for i, row in enumerate(tables):
-                cases += 1
-                scalar = perms.reprogram(Permutation(row.tolist()), x, y)
-                if tuple(edited[i].tolist()) != scalar.fwd:
-                    violations += 1
+    """PermutationStack.reprogram agrees with the scalar reprogram, forward
+    and inverse tables, on every (pi, x, y)."""
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for x, y in itertools.product(range(n), repeat=2):
+        edited = _fold(stack, [(x, y)])
+        for row, fwd, inv in zip(stack.fwd[:, 0].tolist(), edited.fwd[:, 0].tolist(),
+                                 edited.inv[:, 0].tolist()):
+            cases += 1
+            scalar = perms.reprogram(Permutation(row), x, y)
+            if (tuple(fwd), tuple(inv)) != (scalar.fwd, scalar.inv):
+                violations += 1
     return CheckResult("batched-vs-scalar", cases, violations, f"n={n}")

@@ -99,6 +99,7 @@ def cmd_verify_algebra(args: argparse.Namespace) -> int:
             results.append(algebra_checks.check_hit_miss_form(n, min(args.k, 2)).to_dict())
             results.append(algebra_checks.check_partial_reprogramming(n, min(args.k, 2)).to_dict())
         results.append(algebra_checks.check_bad_probability(n, min(args.k, 2)).to_dict())
+        results.append(algebra_checks.cross_check_batched(n).to_dict())
     results.append(algebra_checks.check_uniformity(4).to_dict())
     results.append(algebra_checks.check_cipher_bad_probability(2, 4, min(args.k, 2)).to_dict())
     return _finish(args, results, started, args.out)

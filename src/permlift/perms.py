@@ -29,6 +29,8 @@ Pair = tuple[int, int]
 
 #: Largest n for which full n! enumeration is permitted by default.
 ENUMERATION_CEILING = 8
+#: Stack rows per block where a batch is split to bound its memory.
+BLOCK_ROWS = 2048
 
 
 class Permutation:
@@ -278,6 +280,14 @@ def is_good_pair(base: Permutation, target: Permutation, xs: Sequence[int]) -> b
     return is_good_tuple(base, [(x, target.forward(x)) for x in xs])
 
 
+def good_pair_mask(base_vals: np.ndarray, target_vals: np.ndarray) -> np.ndarray:
+    """:func:`is_good_pair` from the tables' values at distinct marked inputs
+    (last axis; leading axes broadcast): base(x_i) != target(x_j) for all i, j.
+    Values at distinct (key, x) slots give the keyed goodness of ciphers."""
+    clash = base_vals[..., :, None] == target_vals[..., None, :]
+    return ~clash.any(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class HitMiss:
     """Per-index hit and miss query values for forward and backward queries.
@@ -336,11 +346,16 @@ def bad_fraction(base: Permutation, xs: Sequence[int]) -> Fraction:
 
 
 def bad_fraction_sampled(base: Permutation, xs: Sequence[int], trials: int, rng):
-    """Monte Carlo estimate of the bad fraction and its standard error."""
+    """Monte Carlo estimate of the bad fraction and its standard error; the
+    targets are drawn BLOCK_ROWS at a time, as Permutation.random draws them."""
+    if len(set(xs)) != len(xs):
+        raise PreconditionError(f"marked inputs must be distinct, got {list(xs)}")
+    base_vals = np.array([base.forward(x) for x in xs])
     bad = 0
-    for _ in range(trials):
-        if not is_good_pair(base, Permutation.random(base.n, rng), xs):
-            bad += 1
+    for start in range(0, trials, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, trials - start)
+        targets = PermutationStack.random(rows, base.n, rng).fwd[:, 0, list(xs)]
+        bad += rows - int(good_pair_mask(base_vals, targets).sum())
     phat = bad / trials
     sigma = math.sqrt(max(phat * (1.0 - phat), 1.0 / trials) / trials)
     return phat, sigma

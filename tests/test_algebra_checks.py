@@ -1,12 +1,9 @@
 """Exhaustive law suites report zero violations; mutations are caught."""
 
-import numpy as np
 import pytest
 
-from permlift import algebra_checks
 from permlift.algebra_checks import (
     bad_fraction_grid,
-    batched_reprogram,
     check_bad_probability,
     check_bad_probability_sampled,
     check_cipher_bad_probability,
@@ -19,7 +16,13 @@ from permlift.algebra_checks import (
     cross_check_batched,
 )
 from permlift.errors import CapabilityError
-from permlift.perms import Permutation, all_permutations, bad_fraction, is_good_pair
+from permlift.perms import (
+    Permutation,
+    PermutationStack,
+    all_permutations,
+    bad_fraction,
+    is_good_pair,
+)
 
 
 def test_batched_matches_scalar():
@@ -102,21 +105,47 @@ def test_cipher_bad_probability():
 def test_ceiling_guard():
     with pytest.raises(CapabilityError):
         check_inverse_law(9)
+    with pytest.raises(CapabilityError, match="518400 target ciphers"):
+        check_cipher_bad_probability(2, 6, 1)
+
+
+def _forget_the_reroute(self, rows, keys, xs, ys):
+    self.fwd[rows, keys, xs] = ys
+    self.inv[rows, keys, ys] = xs
+
+
+def _stale_inverse(self, rows, keys, xs, ys):
+    old, pre = self.fwd[rows, keys, xs], self.inv[rows, keys, ys]
+    self.fwd[rows, keys, pre] = old
+    self.fwd[rows, keys, xs] = ys
+    self.inv[rows, keys, ys] = xs
 
 
 def test_mutation_is_caught(monkeypatch):
     # a deliberately broken edit must light up the suites
-    def broken(tables, inverses, x, y):
-        out = tables.copy()
-        out[:, x] = y  # forgets to reroute the displaced value
-        return out, np.argsort(out, axis=1, kind="stable")
-
-    monkeypatch.setattr(algebra_checks, "batched_reprogram", broken)
+    monkeypatch.setattr(PermutationStack, "reprogram", _forget_the_reroute)
     assert not check_inverse_law(4, 1).ok
+
+
+@pytest.mark.parametrize("fault, k, flipped", [
+    (_forget_the_reroute, 1, {"inverse-law", "good-closed-form", "hit-miss-form",
+                              "partial-reprogramming", "uniformity", "batched-vs-scalar"}),
+    # a stale inverse entry is read only by a later edit or an inverse lookup
+    (_stale_inverse, 2, {"inverse-law", "commutativity", "partial-reprogramming",
+                         "batched-vs-scalar"}),
+])
+def test_planted_stack_faults_flip_their_suites(monkeypatch, fault, k, flipped):
+    monkeypatch.setattr(PermutationStack, "reprogram", fault)
+    results = [check_inverse_law(4, k), check_commutativity(4, 2),
+               check_good_closed_form(4, k), check_hit_miss_form(4, k),
+               check_partial_reprogramming(4, k), check_uniformity(4),
+               cross_check_batched(4)]
+    assert {r.name for r in results if not r.ok} == flipped
 
 
 def test_scalar_mutation_is_caught(monkeypatch):
     from permlift import perms as perms_module
+    from permlift.cli import EXIT_VIOLATION, main
 
     def broken(pi, x, y):
         table = list(pi.fwd)
@@ -126,4 +155,5 @@ def test_scalar_mutation_is_caught(monkeypatch):
         return Permutation(table)
 
     monkeypatch.setattr(perms_module, "reprogram", broken)
-    assert not check_good_closed_form(4, 1).ok
+    assert not cross_check_batched(4).ok
+    assert main(["verify-algebra", "--n", "4"]) == EXIT_VIOLATION

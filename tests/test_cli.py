@@ -45,14 +45,12 @@ def test_verify_algebra_runs_up_to_the_algebra_ceiling():
 
 
 def test_forced_bug_exits_one(tmp_path, monkeypatch):
-    import numpy as np
+    from permlift.perms import PermutationStack
 
-    def broken(tables, inverses, x, y):
-        out = tables.copy()
-        out[:, x] = y
-        return out, np.argsort(out, axis=1)
+    def broken(self, rows, keys, xs, ys):
+        self.fwd[rows, keys, xs] = ys  # forgets to reroute the displaced value
 
-    monkeypatch.setattr(algebra_checks, "batched_reprogram", broken)
+    monkeypatch.setattr(PermutationStack, "reprogram", broken)
     out = tmp_path / "r.json"
     code = run_cli(["verify-algebra", "--n", "4", "--out", str(out)])
     assert code == EXIT_VIOLATION

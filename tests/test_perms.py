@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from permlift.errors import CapabilityError, DomainError, PreconditionError
 from permlift.perms import (
+    BLOCK_ROWS,
     HitMiss,
     PartialPermutation,
     Permutation,
     PermutationStack,
     all_permutations,
     bad_fraction,
+    bad_fraction_sampled,
     bad_probability_bound,
     hit_miss_queries,
     is_disjoint,
@@ -233,3 +235,22 @@ def test_stack_draws_as_permutation_random_does():
     assert [tuple(row[0].tolist()) for row in stack.fwd] == [
         Permutation.random(8, same).fwd for _ in range(6)]
     assert rng.random() == same.random()
+
+
+def _bad_fraction_sampled_loop(base, xs, trials, rng):
+    """The one-target-per-trial loop that bad_fraction_sampled replaced."""
+    bad = sum(not is_good_pair(base, Permutation.random(base.n, rng), xs)
+              for _ in range(trials))
+    phat = bad / trials
+    return phat, math.sqrt(max(phat * (1.0 - phat), 1.0 / trials) / trials)
+
+
+@pytest.mark.parametrize("seed", [8, 16])
+def test_sampled_bad_fraction_draws_as_the_trial_loop_did(seed):
+    rng, same = np.random.default_rng(seed), np.random.default_rng(seed)
+    base = Permutation.random(8, rng)
+    Permutation.random(8, same)
+    trials = 2 * BLOCK_ROWS + 123  # two full blocks and a short one
+    assert (bad_fraction_sampled(base, (0, 3), trials, rng)
+            == _bad_fraction_sampled_loop(base, (0, 3), trials, same))
+    assert rng.bit_generator.state == same.bit_generator.state
