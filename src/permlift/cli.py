@@ -51,11 +51,13 @@ EXIT_CONFIG = 2
 EXHAUSTIVE_CEILING = 10_000_000
 
 
-def require_enumerable(cost: int) -> None:
+def require_enumerable(cost: int, hint: str = "") -> None:
+    """Refuse an enumeration of more than EXHAUSTIVE_CEILING cases; `hint`
+    ends the error, for a command that has another way to run."""
     if cost > EXHAUSTIVE_CEILING:
         raise CapabilityError(
             f"exhaustive enumeration of {cost} cases exceeds the ceiling "
-            f"{EXHAUSTIVE_CEILING}; use monte-carlo mode"
+            f"{EXHAUSTIVE_CEILING}{hint}"
         )
 
 
@@ -163,14 +165,16 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
         slots = qadv.circuit.num_slots
     else:
         slots = q if args.kind == "classical" else 2 * q
+    # only quantum lifting has a monte-carlo mode to fall back on
+    hint = "; use --mode monte-carlo" if args.kind == "quantum" else ""
     if args.mode == "exhaustive" and k * k >= n:
         # the factor is <= 0, so the verdict is vacuous and only the adversary
         # side runs: once per target (and instance, of which there is one)
-        require_enumerable(permutation_count(n))
+        require_enumerable(permutation_count(n), hint)
     elif args.mode == "exhaustive" and args.kind == "quantum":
         # one circuit run per target, then per base the walks of every choice,
         # forked at each lazy target read
-        require_enumerable(permutation_count(n) * (1 + forked_walk_count(slots, k, n)))
+        require_enumerable(permutation_count(n) * (1 + forked_walk_count(slots, k, n)), hint)
     elif args.mode == "exhaustive":
         # exact lifting runs the simulator once per target x base x choice
         require_enumerable(permutation_count(n) ** 2

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import ProtocolError
 from .games import Relation
-from .lifting import LiftReport, adversary_runners, exact_mean, quantum_factor
+from .lifting import LiftReport, adversary_runners, case_blocks, exact_mean, quantum_factor
 from .perms import all_permutations
 
 
@@ -231,11 +231,14 @@ def real_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
                         n: int) -> float:
     """Exact Pr[adversary wins], averaged over instances and permutations."""
 
-    def outcomes(target, ch):
-        return adversary_runners(adv.circuit_for(challenge_messages(ch, target))).run(target)
+    def outcomes(shared, oracles):
+        target, ch = shared
+        return adversary_runners(adv.circuit_for(challenge_messages(ch, target))).run(oracles)
 
-    total, count = exact_mean(itertools.product(all_permutations(n), instances), outcomes,
-                              lambda case, outcome: run_game(case[1], case[0], [outcome])[0])
+    blocks = (((target, ch), [target])
+              for target, ch in itertools.product(all_permutations(n), instances))
+    total, count = exact_mean(blocks, outcomes, lambda shared, outcome:
+                              run_game(shared[1], shared[0], [outcome[:2]])[0])
     return total / count
 
 
@@ -250,23 +253,22 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
     """
     perms = list(all_permutations(n))
 
-    def cases():
+    def blocks():
+        # one walk per block of bases x choices, for each (target, instance)
         for target in perms:
             for ch in instances:
                 runners = adversary_runners(adv.circuit_for(challenge_messages(ch, target)))
-                for base, choice in itertools.product(perms, runners.choices(k)):
-                    yield target, ch, runners, base, choice
+                yield from case_blocks((target, ch, runners),
+                                       itertools.product(perms, runners.choices(k)), runners.size)
 
-    def accept(case, outcome):
-        target, ch = case[:2]
-        _, view = run_game(ch, target, [outcome])
+    def accept(shared, outcome):
+        target, ch, _ = shared
+        _, view = run_game(ch, target, [outcome[:2]])
         return ver_view(ch, View(view.xs, tuple(target.forward(x) for x in view.xs),
                                  view.transcript))
 
-    def outcomes(target, ch, runners, base, choice):
-        return runners.sim(target, base, choice)
-
-    total, count = exact_mean(cases(), outcomes, accept)
+    total, count = exact_mean(blocks(), lambda shared, cases: shared[2].sim(shared[0], cases),
+                              accept)
     return total / count
 
 

@@ -23,17 +23,16 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import run_circuit
 from .errors import PreconditionError
 from .games import Relation
-from .perms import PartialPermutation, Permutation, PermutationStack, all_permutations
+from .perms import BLOCK_ROWS, PartialPermutation, Permutation, PermutationStack, all_permutations
 from .qsim import batch_rows
 from .simulators import (
     ClassicalAdversary,
     QuantumAdversary,
     build_lifted_adversary,
+    exact_outcomes,
     run_classical_sim,
-    run_quantum_sim,
     sample_quantum_batch,
     sim_choice_space,
 )
@@ -92,8 +91,13 @@ def quantum_factor(n: int, q: int, k: int) -> Fraction:
     return (1 - Fraction(k * k, n)) / Fraction(8 * q + 1) ** (2 * k)
 
 
-def _win(rel: Relation, target: Permutation, outcome) -> bool:
-    xs, z = outcome
+def _win(rel: Relation, outcome):
+    """Whether outcome = (xs, z, target) wins against its target; against a
+    target read in part, a :class:`PartialPermutation`, the share of its
+    completions against which (xs, z) wins."""
+    xs, z, target = outcome
+    if isinstance(target, PartialPermutation):
+        return sum(weight for ys, weight in target.completions(xs) if rel.wins(xs, ys, z))
     return rel.wins(xs, tuple(target.forward(x) for x in xs), z)
 
 
@@ -101,80 +105,87 @@ def _win(rel: Relation, target: Permutation, outcome) -> bool:
 # Exact lifting: one exhaustive expectation for every model and check
 
 
-def exact_mean(cases: Iterable, outcomes: Callable, accept: Callable) -> tuple:
-    """(sum of accepted outcome weights, number of cases) over every case.
+def exact_mean(blocks: Iterable, outcomes: Callable, accept: Callable) -> tuple:
+    """(sum of accepted outcome weights, number of cases) over blocks of cases.
 
-    ``outcomes(*case)`` yields (outcome, weight) pairs, outcome (xs, z) or
-    (xs, z, target as read) and weight 1 for a classical run or the branch
-    probability for a quantum one; ``accept(case, outcome)`` returns a bool
-    or the share of the outcome that wins, in [0, 1].  Weighted shares are
-    summed in enumeration order; a True share adds the weight unchanged.
+    A block is (shared, cases): cases that run together, and what they
+    share (a target, a challenger) or None.  ``outcomes(shared, cases)``
+    yields (outcome, weight) pairs pooled over the cases, outcome (xs, z,
+    target) and weight 1 for a classical run or the branch probability for
+    a quantum one; ``accept(shared, outcome)`` returns a bool or the share
+    of the outcome that wins, in [0, 1].  Weighted shares are summed in
+    enumeration order; a True share adds the weight unchanged.
     """
     total = 0
     count = 0
-    for case in cases:
-        count += 1
-        for outcome, weight in outcomes(*case):
-            share = accept(case, outcome)
+    for shared, cases in blocks:
+        count += len(cases)
+        for outcome, weight in outcomes(shared, cases):
+            share = accept(shared, outcome)
             if share:
                 total += weight * share
     return total, count
 
 
-Runners = namedtuple("Runners", "run sim choices mean")
+def case_blocks(shared, cases: Iterable, size: int):
+    """The cases as blocks (shared, cases) of at most `size` cases each."""
+    cases = iter(cases)
+    while block := list(itertools.islice(cases, size)):
+        yield shared, block
+
+
+Runners = namedtuple("Runners", "run sim choices size mean")
 
 
 def adversary_runners(adv) -> Runners:
-    """An adversary's runners, built once per verdict (not per run): run(oracle)
-    and sim(target, base, choice) yield weighted outcomes, choices(k) lists the
-    simulator's choices, and mean(total, count) divides exactly or in floats."""
+    """An adversary's runners, built once per verdict (not per run).
+
+    run(oracles) yields the weighted outcomes (xs, z, oracle) of the plain
+    runs against a block of oracles, and sim(target, cases) those (xs, z,
+    target as read) of the simulator against `target` for a block of (base,
+    choice) cases.  A quantum adversary runs a block as one exact walk
+    (`exact_outcomes`) of at most `size` rows before its splits.
+    choices(k) lists the simulator's choices, and mean(total, count)
+    divides exactly or in floats.
+    """
     if isinstance(adv, QuantumAdversary):
         return Runners(
-            lambda oracle: adv.output_distribution(run_circuit(adv.circuit, oracle)).items(),
-            lambda target, base, choice: run_quantum_sim(
-                adv, base, target, choice, mode="exact").items(),
-            lambda k: sim_choice_space(adv.circuit.num_slots, k, True), operator.truediv)
+            lambda oracles: exact_outcomes(adv, oracles),
+            lambda target, cases: exact_outcomes(adv, *zip(*cases), target),
+            lambda k: sim_choice_space(adv.circuit.num_slots, k, True),
+            batch_rows(adv.circuit.regs), operator.truediv)
     return Runners(
-        lambda oracle: ((adv.run(oracle), 1),),
-        lambda target, base, choice: ((run_classical_sim(adv, base, target, choice), 1),),
-        lambda k: sim_choice_space(adv.budget, k, False), Fraction)
+        lambda oracles: [(adv.run(oracle) + (oracle,), 1) for oracle in oracles],
+        lambda target, cases: [(run_classical_sim(adv, base, target, choice) + (target,), 1)
+                               for base, choice in cases],
+        lambda k: sim_choice_space(adv.budget, k, False), BLOCK_ROWS, Fraction)
 
 
 def _adversary_win(adv, rel: Relation):
     """The adversary's win probability over every target."""
     runners = adversary_runners(adv)
-    return runners.mean(*exact_mean(((target,) for target in all_permutations(rel.n)),
-                                    runners.run,
-                                    lambda case, outcome: _win(rel, case[0], outcome)))
-
-
-def _completion_win(rel: Relation, outcome) -> float:
-    """The share of the completions of the partial target in `outcome` =
-    (xs, z, target) against which (xs, z) wins."""
-    xs, z, target = outcome
-    return sum(weight for ys, weight in target.completions(xs) if rel.wins(xs, ys, z))
+    return runners.mean(*exact_mean(case_blocks(None, all_permutations(rel.n), runners.size),
+                                    lambda _, oracles: runners.run(oracles),
+                                    lambda _, outcome: _win(rel, outcome)))
 
 
 def _lifted_win(adv, rel: Relation, k: int):
     """The simulator's win probability over target x base x choice.
 
-    A quantum simulator reads the target lazily, so its cases are base x
-    choice: each outcome carries the partial target its branch read and wins
-    with its share of that target's completions.
+    A quantum simulator reads the target lazily, so one unread target
+    stands for all n!: each outcome carries the partial target its branch
+    read and wins with its share of that target's completions.
     """
     runners = adversary_runners(adv)
     perms = list(all_permutations(rel.n))
-    if isinstance(adv, QuantumAdversary):
-        unread = PartialPermutation(rel.n)
-        # outcomes repeat across cases, so each (xs, z, target) is scored once
-        share = functools.lru_cache(maxsize=None)(functools.partial(_completion_win, rel))
-        return runners.mean(*exact_mean(
-            itertools.product(perms, runners.choices(k)),
-            lambda base, choice: runners.sim(unread, base, choice),
-            lambda case, outcome: share(outcome)))
-    return runners.mean(*exact_mean(itertools.product(perms, perms, runners.choices(k)),
-                                    runners.sim,
-                                    lambda case, outcome: _win(rel, case[0], outcome)))
+    quantum = isinstance(adv, QuantumAdversary)
+    targets = [PartialPermutation(rel.n)] if quantum else perms
+    score = functools.partial(_win, rel)
+    if quantum:  # outcomes repeat across blocks, so each (xs, z, target) is scored once
+        score = functools.lru_cache(maxsize=None)(score)
+    blocks = (block for target in targets for block in case_blocks(
+        target, itertools.product(perms, runners.choices(k)), runners.size))
+    return runners.mean(*exact_mean(blocks, runners.sim, lambda _, outcome: score(outcome)))
 
 
 def classical_adversary_win_exact(adv: ClassicalAdversary, rel: Relation) -> Fraction:
@@ -302,11 +313,12 @@ def mr_check(adv, rel: Relation, base: Permutation, target: Permutation,
     ys = tuple(target.forward(x) for x in xs)
     runners = adversary_runners(adv)
 
-    def marked_win(case, outcome):
-        out_xs, z = outcome
+    def marked_win(_, outcome):
+        out_xs, z, _ = outcome
         return out_xs == xs and rel.wins(xs, ys, z)
 
-    lhs = exact_mean(((target, base, choice) for choice in runners.choices(len(xs))),
-                     runners.sim, marked_win)
-    rhs = exact_mean([(base.reprogram_seq(list(zip(xs, ys))),)], runners.run, marked_win)
+    cases = [(base, choice) for choice in runners.choices(len(xs))]
+    lhs = exact_mean(case_blocks(target, cases, runners.size), runners.sim, marked_win)
+    rhs = exact_mean([(None, [base.reprogram_seq(list(zip(xs, ys)))])],
+                     lambda _, oracles: runners.run(oracles), marked_win)
     return runners.mean(*lhs), runners.mean(*rhs)

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,6 +157,15 @@ class PartialPermutation:
         out._hash = hash(frozenset(out.fwd.items()))
         return out
 
+    @classmethod
+    def from_table(cls, fwd: Sequence[int]) -> "PartialPermutation":
+        """The permutation read at every x whose ``fwd[x]`` is not -1."""
+        out = cls(len(fwd))
+        for x, y in enumerate(fwd):
+            if y >= 0:
+                out = out._with(x, int(y))
+        return out
+
     def completions(self, xs: Sequence[int]) -> list:
         """(ys, weight) for each joint value of the permutation at xs, weighted
         by its share of the completions."""
@@ -180,14 +189,16 @@ class PermutationStack:
 
     ``fwd[r, key]`` is row r's table under `key` and ``inv[r, key]`` its
     inverse; a permutation is the one-key cipher, with key 0.  Unlike a
-    :class:`Permutation`, a stack is edited in place, one edit per row.
+    :class:`Permutation`, a stack is edited in place, one edit per row.  A
+    row read in part, as a :class:`PartialPermutation` is, holds -1 at every
+    point not read yet, in `fwd` and `inv` alike; it is passed with its `inv`.
     """
 
     __slots__ = ("fwd", "inv")
 
-    def __init__(self, fwd: np.ndarray):
+    def __init__(self, fwd: np.ndarray, inv: Optional[np.ndarray] = None):
         self.fwd = fwd
-        self.inv = np.argsort(fwd, axis=-1)
+        self.inv = np.argsort(fwd, axis=-1) if inv is None else inv
 
     @classmethod
     def random(cls, rows: int, n: int, rng) -> "PermutationStack":
@@ -196,22 +207,39 @@ class PermutationStack:
         return cls(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, None, :])
 
     @classmethod
-    def from_keys(cls, perms: Sequence[Permutation]) -> "PermutationStack":
-        """One row, whose table under key i is perms[i]."""
-        return cls(np.array([[p.fwd for p in perms]]))
+    def of(cls, oracles: Sequence) -> "PermutationStack":
+        """One row per oracle: a permutation, a cipher (one table per key of
+        its `perms`), or a partial permutation, -1 where it has not read."""
+        if isinstance(oracles[0], PartialPermutation):
+            tables = np.array([[[o.fwd.get(v, -1) for v in range(o.n)],
+                                [o.inv.get(v, -1) for v in range(o.n)]] for o in oracles])
+            return cls(tables[:, :1], tables[:, 1:])
+        return cls(np.array([[p.fwd for p in getattr(o, "perms", (o,))] for o in oracles]))
 
     def __len__(self) -> int:
         return len(self.fwd)
 
     def copy(self) -> "PermutationStack":
-        out = object.__new__(PermutationStack)
-        out.fwd, out.inv = self.fwd.copy(), self.inv.copy()
-        return out
+        return PermutationStack(self.fwd.copy(), self.inv.copy())
+
+    def take(self, index) -> "PermutationStack":
+        """The rows `index`, copied."""
+        return PermutationStack(self.fwd[index], self.inv[index])
 
     def lookup(self, rows, keys, points, forward) -> np.ndarray:
         """Each listed row's value at its point, read forward (pi(point))
         where `forward` holds and backward (pi^-1(point)) elsewhere."""
         return np.where(forward, self.fwd[rows, keys, points], self.inv[rows, keys, points])
+
+    def forks(self, rows, keys, points, forward) -> tuple:
+        """:meth:`PartialPermutation.forks` of each listed row at its point:
+        a bool array (rows, n) of the values the row may take there, and the
+        weight of each of the row's forks, 1 for a read point and 1/(n - m)
+        for an unread one, m pairs read."""
+        known = self.lookup(rows, keys, points, forward)[:, None]
+        other = np.where(forward[:, None], self.inv[rows, keys], self.fwd[rows, keys])
+        mask = np.where(known >= 0, np.arange(other.shape[-1]) == known, other < 0)
+        return mask, 1.0 / mask.sum(axis=1)
 
     def reprogram(self, rows, keys, xs, ys) -> None:
         """`reprogram` of each listed row under its key, in place: x goes to

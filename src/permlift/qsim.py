@@ -21,6 +21,15 @@ from .errors import DomainError, PreconditionError
 from .perms import Permutation
 
 STATE_TOL = 1e-10
+#: Probabilities at or below this are rounding noise, which the exact walk
+#: drops as measurement outcomes and as outputs.  A probability that is 0 in
+#: exact arithmetic comes out of at most ~100 gate and oracle applications on
+#: amplitudes of size <= 1 as an amplitude of at most ~100 * 2^-53 ~ 1e-14,
+#: so as at most ~1e-28; the largest seen is 1.8e-32 (every C6 walk at n=4
+#: and the tests' generated circuits), and the smallest real probability seen
+#: there is 0.031.  The cut sits more than ten orders of magnitude from both,
+#: so it drops exactly the noise, which moves a sum of B branches by B * 1e-28.
+BRANCH_CUT = 1e-14
 
 
 class Registers:
@@ -218,14 +227,12 @@ def project(state: StateVector, name: str, kept: Iterable[int]) -> StateVector:
 
 
 def measurement_branches(state: StateVector, names: Sequence[str],
-                         tol: float = 1e-14):
+                         tol: float = BRANCH_CUT):
     """All outcomes of a computational-basis measurement of the named registers.
 
     Yields (values, subnormalized collapsed state); branch weights are the
     squared norms of the collapsed states, so they sum to the input norm.
     """
-    regs = state.regs
-    axes = tuple(regs.axis(n) for n in names)
     marg = measure_distribution(state, names)
     for values in np.ndindex(*marg.shape):
         if marg[values] <= tol:
@@ -266,6 +273,22 @@ def batch_state(state: StateVector, rows: int) -> StateVector:
     return StateVector(regs, np.broadcast_to(state.amps, regs.dims).copy())
 
 
+def _projector(regs: Registers, names: Sequence[str], measured: np.ndarray,
+               outcomes: np.ndarray) -> np.ndarray:
+    """A 0/1 mask that broadcasts over a batch state on `regs`: 1 on each
+    measured row's outcome (a flat index over the joint values of the named
+    registers), and everywhere on every other row."""
+    axes = [regs.axis(name) for name in (TRIAL,) + tuple(names)]
+    dims = [regs.dims[a] for a in axes]
+    keep = np.ones((dims[0], math.prod(dims[1:])))
+    keep[measured] = 0.0
+    keep[measured, outcomes] = 1.0
+    shape = [1] * len(regs.dims)
+    for a in axes:
+        shape[a] = regs.dims[a]
+    return keep.reshape(dims).transpose(np.argsort(axes)).reshape(shape)
+
+
 def sample_rows(batch: StateVector, names: Sequence[str], rng, live=None):
     """Measure the named registers of every row of a batch state, with one
     draw per row from the row's Born-rule distribution.
@@ -278,32 +301,54 @@ def sample_rows(batch: StateVector, names: Sequence[str], rng, live=None):
     cumulative distribution, the draw ``rng.choice`` makes for one outcome.
     """
     regs = batch.regs
-    names = (TRIAL,) + tuple(names)
-    axes = [regs.axis(name) for name in names]
     probs = np.abs(batch.amps) ** 2
-    marg = _marginal(regs, probs, names)
+    marg = _marginal(regs, probs, (TRIAL,) + tuple(names))
     size = len(marg)
     measured = np.arange(size) if live is None else np.flatnonzero(live)
     flat = marg.reshape(size, -1)[measured]
     cdf = np.cumsum(flat / flat.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
     picks = (cdf <= rng.random(len(measured))[:, None]).sum(axis=1)
-    # 1 on each measured row's outcome and on every unmeasured row, in
-    # register order and shaped to broadcast over the batch
-    keep = np.ones((size, flat.shape[1]))
-    keep[measured] = 0.0
-    keep[measured, picks] = 1.0
-    shape = [1] * len(regs.dims)
-    for a in axes:
-        shape[a] = regs.dims[a]
-    keep = keep.reshape(marg.shape).transpose(np.argsort(axes)).reshape(shape)
-    norms = np.sum(probs * keep, axis=tuple(range(1, len(shape))))
+    keep = _projector(regs, names, measured, picks)
+    norms = np.sum(probs * keep, axis=tuple(range(1, keep.ndim)))
     scale = np.ones(size)
     scale[measured] = 1.0 / np.sqrt(norms[measured])
-    values = np.full((size, len(axes) - 1), -1, dtype=np.int64)
+    values = np.full((size, len(names)), -1, dtype=np.int64)
     values[measured] = np.column_stack(np.unravel_index(picks, marg.shape[1:]))
-    scale = scale.reshape((-1,) + (1,) * (len(shape) - 1))
+    scale = scale.reshape((-1,) + (1,) * (keep.ndim - 1))
     return values, StateVector(regs, batch.amps * (keep * scale))
+
+
+def branch_rows(batch: StateVector, names: Sequence[str], live):
+    """Every outcome of measuring the named registers of each live row of a
+    batch state: `sample_rows` with each draw replaced by all the outcomes.
+
+    Returns (rows, values): one entry per outcome of probability above
+    BRANCH_CUT of each live row, and one entry with values -1 for every other row, in
+    row order and within a row in row-major order of the values.  values
+    has shape (entries, len(names)); `project_rows` makes the branches.
+    """
+    marg = measure_distribution(batch, (TRIAL,) + tuple(names))
+    flat = marg.reshape(len(marg), -1)
+    fan = np.zeros((len(flat), flat.shape[1] + 1), dtype=bool)
+    fan[live, :-1] = flat[live] > BRANCH_CUT
+    fan[~live, -1] = True
+    rows, outcome = np.nonzero(fan)
+    values = np.full((len(rows), len(names)), -1, dtype=np.int64)
+    hit = outcome < flat.shape[1]
+    values[hit] = np.column_stack(np.unravel_index(outcome[hit], marg.shape[1:]))
+    return rows, values
+
+
+def project_rows(batch: StateVector, names: Sequence[str], rows: np.ndarray,
+                 values: np.ndarray) -> StateVector:
+    """The rows `rows` of a batch state as a batch state, each projected onto
+    its `values` of the named registers and not renormalized; a row whose
+    values are -1 is copied whole."""
+    regs = Registers(((TRIAL, len(rows)),) + batch.regs.specs()[1:])
+    measured = np.flatnonzero(values[:, 0] >= 0)
+    outcomes = np.ravel_multi_index(tuple(values[measured].T), [regs.dim(n) for n in names])
+    return StateVector(regs, batch.amps[rows] * _projector(regs, names, measured, outcomes))
 
 
 # ---------------------------------------------------------------------------

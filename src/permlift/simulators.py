@@ -27,8 +27,9 @@ from .circuits import BACKWARD, FORWARD, NormalFormCircuit, Projector, run_circu
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import (PartialPermutation, Permutation, PermutationStack, hit_miss_queries,
                     is_good_pair)
-from .qsim import (TRIAL, StateVector, apply_oracle, batch_state, gather, measure_distribution,
-                   measurement_branches, require_oracle_key, sample_rows, zero_state)
+from .qsim import (BRANCH_CUT, TRIAL, StateVector, apply_oracle, batch_rows, batch_state,
+                   branch_rows, gather, measure_distribution, project_rows, require_oracle_key,
+                   sample_rows, zero_state)
 
 HIT = 0
 MISS = 1
@@ -170,27 +171,20 @@ class ClassicalAdversary:
 
 
 def _reprogram_edit(tag: str, miss: int, point: tuple, base, target) -> tuple:
-    """The edits written into the oracle for one guessed query at ``point``,
-    as (edit, weight, target) forks.
+    """The edit written into the oracle for one guessed query at ``point``.
 
     An edit is (x, y) for a permutation and (key, x, y) for a cipher, whose
     key stays the queried one.  A hit reads the external target at the query
     value in the query's direction; a miss routes the query value through the
     internal base table first, then reads the target in the opposite
-    direction.  A concrete target gives one fork of weight 1; a
-    :class:`PartialPermutation` target forks over the values it may take at
-    the read point, each with its weight and the target extended by it.
+    direction.  The quantum walk's batched edit is `_edit_rows`.
     """
     if miss == MISS:
         at = base.forward(*point) if tag == FORWARD else base.backward(*point)
         point, tag = point[:-1] + (at,), BACKWARD if tag == FORWARD else FORWARD
-    if isinstance(target, PartialPermutation):
-        (at,) = point
-        return tuple(((at, v) if tag == FORWARD else (v, at), weight, fork)
-                     for v, weight, fork in target.forks(tag, at))
     if tag == FORWARD:
-        return ((point + (target.forward(*point),), 1, target),)
-    return ((point[:-1] + (target.backward(*point), point[-1]), 1, target),)
+        return point + (target.forward(*point),)
+    return point[:-1] + (target.backward(*point), point[-1])
 
 
 def _trace_entry(slot: int, tag: str, point: Optional[tuple], edit: Optional[tuple],
@@ -239,8 +233,7 @@ class _ClassicalSimState:
         j = self.slot_map.get(self.count)
         edit = None
         if j is not None:
-            (edit, _, _), = _reprogram_edit(tag, self.miss_flags[j], point, self.base,
-                                            self.target)
+            edit = _reprogram_edit(tag, self.miss_flags[j], point, self.base, self.target)
             self.current = self.current.reprogram(*edit)
         if self.trace is not None:
             self.trace.append(_trace_entry(self.count, tag, point, edit, "before"))
@@ -266,7 +259,7 @@ def run_classical_sim(adv: ClassicalAdversary, base, target,
 
 
 # ---------------------------------------------------------------------------
-# Quantum simulator
+# Quantum simulator: one batched walk, which draws or splits at a measurement
 
 
 @dataclass(frozen=True)
@@ -290,36 +283,42 @@ class QuantumAdversary:
             return self.declared_queries
         return (self.circuit.num_slots + 1) // 2
 
-    def output_distribution(self, state: StateVector) -> dict:
-        names = self.x_regs + self.z_regs
-        marg = measure_distribution(state, names)
-        out = {}
+    def outputs(self) -> list:
+        """((xs), (z)) at each index of the flattened output marginal."""
+        dims = [self.circuit.regs.dim(name) for name in self.x_regs + self.z_regs]
         kx = len(self.x_regs)
-        for idx in np.ndindex(*marg.shape):
-            p = float(marg[idx])
-            if p <= 1e-15:
-                continue
-            xs = tuple(int(v) for v in idx[:kx])
-            z = tuple(int(v) for v in idx[kx:])
-            out[(xs, z)] = out.get((xs, z), 0.0) + p
-        return out
+        return [(idx[:kx], idx[kx:]) for idx in itertools.product(*map(range, dims))]
+
+    def output_distribution(self, state: StateVector) -> dict:
+        """((xs), (z)) -> probability, for each output above BRANCH_CUT."""
+        probs = measure_distribution(state, self.x_regs + self.z_regs).reshape(-1)
+        outputs = self.outputs()
+        return {outputs[i]: float(probs[i]) for i in np.flatnonzero(probs > BRANCH_CUT)}
+
+
+def _choice_picks(choices: Sequence[SimChoice], num_slots: int) -> np.ndarray:
+    """The menu indices of each choice, one row each, as `sample_sim_choices`
+    draws them."""
+    menu = _index_menu(num_slots, True)
+    return np.array([[menu.index(guess) for guess in zip(c.slots, c.miss_flags, c.after_flags)]
+                     for c in choices], dtype=np.int64).reshape(len(choices), -1)
 
 
 def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
                     mode: str = "exact", rng=None, trace: Optional[list] = None):
-    """Quantum measure-and-reprogram experiment.
+    """Quantum measure-and-reprogram experiment: the batched walk on a batch
+    of one.
 
     A circuit with a key register runs against a cipher and measures the
     (key, query) register pair jointly at a guessed slot; one without runs
-    against a permutation.  Exact mode branches over every measurement
-    outcome and returns the full distribution over ((xs), (z)).  It also
-    takes a :class:`PartialPermutation` target, read lazily: the walk forks
-    at each target read (see `_reprogram_edit`), and the distribution is
-    over ((xs), (z), target as read), each branch weighted by its forks.  By
-    linearity this is the expectation over uniform targets.  Sample mode
-    runs `sample_quantum_batch` on a batch of one and returns one (xs, z).
-    `trace`, if given, receives one record per visited slot; in exact mode
-    that is every slot of every branch and fork, in depth-first order.
+    against a permutation.  Sample mode returns one (xs, z).  Exact mode
+    returns the distribution over ((xs), (z)); against a
+    :class:`PartialPermutation` target, read lazily, over ((xs), (z), target
+    as read), which by linearity is the expectation over uniform targets.
+    `trace`, if given, receives one record per visited slot of each final
+    row, in row order.  An exact row is one branch and fork and lists its
+    whole path, so the slots before a split, which its rows share, repeat
+    once per row.
     """
     circuit = adv.circuit
     if any(s is not None and s > circuit.num_slots for s in choice.slots):
@@ -328,163 +327,264 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
         raise PreconditionError("the quantum simulator needs timing flags")
     require_oracle_key(base, circuit.key)
     lazy = isinstance(target, PartialPermutation)
-    if mode == "sample":
-        if rng is None:
-            raise DomainError("sample mode needs an rng")
-        if lazy:
-            raise PreconditionError("sample mode needs a concrete target")
-        menu = _index_menu(circuit.num_slots, True)
-        picks = np.array([[menu.index(guess) for guess in zip(
-            choice.slots, choice.miss_flags, choice.after_flags)]], dtype=np.int64)
-        xs, z = sample_quantum_batch(adv, _stack(base), rng, picks, _CountedReads(_stack(target)),
-                                     None if trace is None else [trace])
-        return tuple(xs[0].tolist()), tuple(z[0].tolist())
-    if mode != "exact":
+    traces = None if trace is None else [trace]
+    if mode == "exact":
+        return {(xs, z, read) if lazy else (xs, z): p
+                for (xs, z, read), p in exact_outcomes(adv, [base], [choice], target, traces)}
+    if mode != "sample":
         raise DomainError(f"unknown mode {mode!r}")
-    measured_regs = circuit.query_registers()
-    slot_map = choice.slot_map()
-
-    def final_states(state, current, read, weight, i):
-        """(final state, target as read, weight) of each branch from slot i
-        on, depth first."""
-        while i <= circuit.num_slots and i not in slot_map:
-            tag = circuit.slot_tags[i - 1]
-            if trace is not None:
-                trace.append(_trace_entry(i, tag, None, None, None))
-            state = circuit.unitaries[i].apply(apply_oracle(
-                state, current, tag, circuit.query, circuit.response, key=circuit.key))
-            i += 1
-        if i > circuit.num_slots:
-            yield state, read, weight
-            return
-        tag, j = circuit.slot_tags[i - 1], slot_map[i]
-        after = choice.after_flags[j]
-        unitary = circuit.unitaries[i]
-        for value, sub in measurement_branches(state, measured_regs):
-            point = (value,) if circuit.key is None else value
-            if after:  # answered by the table before the edit, the same for every fork
-                answered = unitary.apply(apply_oracle(sub, current, tag, circuit.query,
-                                                      circuit.response, key=circuit.key))
-            for edit, fork_weight, fork in _reprogram_edit(tag, choice.miss_flags[j], point,
-                                                           base, read):
-                updated = current.reprogram(*edit)
-                if not after:
-                    answered = unitary.apply(apply_oracle(sub, updated, tag, circuit.query,
-                                                          circuit.response, key=circuit.key))
-                if trace is not None:
-                    trace.append(_trace_entry(i, tag, point, edit, "after" if after else "before"))
-                yield from final_states(answered, updated, fork, weight * fork_weight, i + 1)
-
-    final = final_states(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, target, 1, 1)
-    dist: dict = {}
-    last = None
-    for state, read, weight in final:
-        if state is not last:  # forks that differ only in the target share a state
-            last, outputs = state, adv.output_distribution(state).items()
-        for key, p in outputs:
-            if lazy:
-                key += (read,)
-            dist[key] = dist.get(key, 0.0) + p * weight
-    return dist
-
-
-# ---------------------------------------------------------------------------
-# Sampled quantum simulator over a batch of trials
-
-
-def _stack(oracle) -> PermutationStack:
-    """A permutation or cipher as a one-row table stack."""
-    return PermutationStack.from_keys(oracle.perms if isinstance(oracle, Cipher) else (oracle,))
+    if rng is None:
+        raise DomainError("sample mode needs an rng")
+    if lazy:
+        raise PreconditionError("sample mode needs a concrete target")
+    xs, z = sample_quantum_batch(adv, PermutationStack.of([base]), rng,
+                                 _choice_picks([choice], circuit.num_slots),
+                                 _CountedReads(PermutationStack.of([target])), traces)
+    return tuple(xs[0].tolist()), tuple(z[0].tolist())
 
 
 class _CountedReads:
     """The external oracles of a batch, one per row, read only through
-    `read`, which counts every read against its row."""
+    `read`, which counts every read against its row.  A lazily read row
+    holds -1 where unread, and the exact walk forks it before each read."""
 
-    def __init__(self, oracles: PermutationStack):
+    def __init__(self, oracles: PermutationStack, calls: Optional[np.ndarray] = None):
         self.oracles = oracles
-        self.calls = np.zeros(len(oracles), dtype=np.int64)
+        self.calls = np.zeros(len(oracles), dtype=np.int64) if calls is None else calls
 
     def read(self, rows, keys, points, forward) -> np.ndarray:
         np.add.at(self.calls, rows, 1)
         return self.oracles.lookup(rows, keys, points, forward)
 
 
-def _edit_rows(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
-               base: PermutationStack, external: _CountedReads) -> tuple:
-    """`_reprogram_edit` for the guessed rows of a batch, as arrays (xs, ys)
-    of the edits x -> y under each row's key.  A hit reads the external
-    oracle at the query value in the slot's direction; a miss routes the
-    value through the row's internal base table first, then reads in the
-    opposite direction."""
+def _read_points(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
+                 base: PermutationStack) -> tuple:
+    """Where each guessed row reads the external oracle, and whether forward:
+    a hit reads at the query value in the slot's direction; a miss routes
+    the value through the row's internal base table first, then reads in
+    the opposite direction."""
     forward = np.full(len(rows), tag == FORWARD)
     flip = miss == MISS
     points = np.where(flip, base.lookup(rows, keys, points, forward), points)
-    forward ^= flip
+    return points, forward ^ flip
+
+
+def _edit_rows(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
+               base: PermutationStack, external: _CountedReads) -> tuple:
+    """`_reprogram_edit` for the guessed rows of a walk: arrays (xs, ys) of
+    the edits x -> y under each row's key, read at its `_read_points`."""
+    points, forward = _read_points(tag, miss, rows, keys, points, base)
     values = external.read(rows, keys, points, forward)
     return np.where(forward, points, values), np.where(forward, values, points)
+
+
+class _Rows:
+    """The rows of a walk: a batch state and, per row, its current and base
+    tables, external oracle, menu picks and their slots, input row, fork
+    weight and slot records."""
+
+    def __init__(self, state, tables, base, external, picks, slots, origin, weight, traces):
+        self.state, self.tables, self.base, self.external = state, tables, base, external
+        self.picks, self.slots, self.origin = picks, slots, origin
+        self.weight, self.traces = weight, traces
+
+    def take(self, index, state) -> "_Rows":
+        """The rows `index` (a row may repeat), copied, with batch state `state`."""
+        external = _CountedReads(self.external.oracles.take(index), self.external.calls[index])
+        return _Rows(state, self.tables.take(index), self.base.take(index), external,
+                     self.picks[index], self.slots[index], self.origin[index], self.weight[index],
+                     None if self.traces is None else [list(self.traces[r]) for r in index])
+
+
+def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces, rng=None):
+    """One measure-and-reprogram walk per row of `base`, all in one batch
+    state; yields the rows at the circuit's end, in parts, in row order.
+
+    Row r starts from base row r, guesses the choice `picks[r]` (menu
+    indices; None guesses nothing) and reads `external` row r.  A slot is
+    one gather from the rows' tables and one pass of its gates (`_answer`).
+    At a slot some rows guess, their query registers are measured first:
+    with `rng` by one draw per row (`qsim.sample_rows`), else by a split
+    (`_split`) whose parts are made one at a time and go on depth first.
+    `traces`, one list per row of `base`, receive the records of its final
+    rows, in row order.
+    """
+    circuit = adv.circuit
+    if base.fwd.shape[1] != (circuit.regs.dim(circuit.key) if circuit.key else 1):
+        raise PreconditionError(f"{base.fwd.shape[1]} table(s) per row do not match the "
+                                "circuit's key register")
+    size = len(base)
+    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), size)
+    picks = np.zeros((size, 0), dtype=np.int64) if picks is None else picks
+    slots = _menu_columns(circuit.num_slots, True)[0][picks]
+    rows = _Rows(state, base.copy(), base, external, picks, slots, np.arange(size),
+                 np.ones(size), None if traces is None else [[] for _ in range(size)])
+    pending = [iter([(rows, 1, None)])]
+    while pending:
+        item = next(pending[-1], None)
+        if item is None:
+            pending.pop()
+            continue
+        rows, start, values = item
+        for i in range(start, circuit.num_slots + 1):
+            if values is None:
+                live = (rows.slots == i).any(axis=1)
+                hit = np.flatnonzero(live)
+                if len(hit) and rng is None:
+                    pending.append(_split(adv, rows, i, live))
+                    break
+                if len(hit):
+                    values, rows.state = sample_rows(rows.state, circuit.query_registers(), rng,
+                                                     live)
+            else:
+                hit = np.flatnonzero(values[:, 0] >= 0)
+            _answer(adv, rows, i, hit, values)
+            values = None
+        else:
+            for origin, records in zip(rows.origin, rows.traces or ()):
+                traces[origin].extend(records)
+            yield rows
+
+
+def _split(adv: QuantumAdversary, rows: _Rows, i: int, live: np.ndarray):
+    """Slot i's measurement in exact mode: yields (rows, i, values) for parts
+    of at most `qsim.batch_rows` rows, in row order.
+
+    Each live row splits into one row per measured value (`qsim.branch_rows`),
+    projected and not renormalized, so its squared norm is the branch
+    weight, and each of those into one row per fork of its read
+    (`PermutationStack.forks`): the fork's value is written into the row's
+    external oracle, for `_answer` to read, and its weight multiplies the
+    row's.
+    """
+    circuit = adv.circuit
+    measured = circuit.query_registers()
+    miss_of = _menu_columns(circuit.num_slots, True)[1]
+    src, values = branch_rows(rows.state, measured, live)
+    hit = np.flatnonzero(values[:, 0] >= 0)
+    at = src[hit]
+    pick = rows.picks[at, (rows.slots[at] == i).argmax(axis=1)]
+    keys = values[hit, 0] if circuit.key else np.zeros(len(hit), dtype=np.int64)
+    points, forward = _read_points(circuit.slot_tags[i - 1], miss_of[pick], at, keys,
+                                   values[hit, -1], rows.base)
+    mask, weight = rows.external.oracles.forks(at, keys, points, forward)
+    # a measured branch goes on as one row per fork, any other row as itself
+    n = mask.shape[1]
+    fan = np.zeros((len(src), n + 1), dtype=bool)
+    fan[:, n] = True
+    fan[hit, n] = False
+    fan[hit, :n] = mask
+    branch, fork = np.nonzero(fan)
+    weights, read = np.ones(len(src)), np.zeros(len(src), dtype=np.int64)
+    weights[hit], read[hit] = weight, np.arange(len(hit))
+    size = batch_rows(circuit.regs)
+    for begin in range(0, len(branch), size):
+        b, f = branch[begin:begin + size], fork[begin:begin + size]
+        part = rows.take(src[b], project_rows(rows.state, measured, src[b], values[b]))
+        part.weight = part.weight * weights[b]
+        forked, h = np.flatnonzero(f < n), read[b[f < n]]
+        xs = np.where(forward[h], points[h], f[forked])
+        ys = np.where(forward[h], f[forked], points[h])
+        part.external.oracles.fwd[forked, keys[h], xs] = ys
+        part.external.oracles.inv[forked, keys[h], ys] = xs
+        yield part, i, values[b]
+
+
+def _answer(adv: QuantumAdversary, rows: _Rows, i: int, hit: np.ndarray,
+            values: Optional[np.ndarray]) -> None:
+    """Slot i of a walk, in place, after its measurement: each row `hit`
+    measured to its `values` gets its edit (`_edit_rows`); a row guessing
+    "after" is answered by its table before the edit, every other row by
+    its current table, in one gather; then the slot's gates run."""
+    circuit = adv.circuit
+    tag = circuit.slot_tags[i - 1]
+    _, miss_of, after_of = _menu_columns(circuit.num_slots, True)
+    tables = rows.tables
+    answer = tables.fwd if tag == FORWARD else tables.inv
+    entries = {}
+    if len(hit):
+        pick = rows.picks[hit, (rows.slots[hit] == i).argmax(axis=1)]
+        keys = values[hit, 0] if circuit.key else 0
+        xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], rows.base,
+                            rows.external)
+        after = np.zeros(len(tables), dtype=bool)
+        after[hit] = after_of[pick] == 1
+        before = answer.copy()
+        tables.reprogram(hit, keys, xs, ys)
+        answer = np.where(after[:, None, None], before, answer)
+        if rows.traces is not None:
+            lead = values[hit, :1] if circuit.key else np.zeros((len(hit), 0), dtype=np.int64)
+            edits = np.column_stack([lead, xs, ys]).tolist()
+            for r, point, edit in zip(hit.tolist(), values[hit].tolist(), edits):
+                entries[r] = _trace_entry(i, tag, tuple(point), tuple(edit),
+                                          "after" if after[r] else "before")
+    for r, trace in enumerate(rows.traces or ()):
+        trace.append(entries.get(r) or _trace_entry(i, tag, None, None, None))
+    index = (TRIAL, circuit.key) if circuit.key else (TRIAL,)
+    rows.state = circuit.unitaries[i].apply(gather(rows.state, answer, index, circuit.query,
+                                                   circuit.response))
 
 
 def sample_quantum_batch(adv: QuantumAdversary, base: PermutationStack, rng,
                          picks: Optional[np.ndarray] = None,
                          external: Optional[_CountedReads] = None,
                          traces: Optional[Sequence[list]] = None) -> tuple:
-    """One sampled measure-and-reprogram run per row of `base`, all rows in
-    one batch state (`qsim.batch_state`).
-
-    Row r starts from base row r and guesses the choice `picks[r]` (menu
-    indices, as `sample_sim_choices` draws them); without `picks` no slot is
-    guessed and each row runs the plain circuit.  Each slot costs one gather
-    from the rows' current tables and one pass of the slot's gates.  At a
-    slot some rows guess, those rows' query registers are measured with one
-    row-wise draw, and each guessing row's table gets its edit, reading
-    `external` row r (see `_edit_rows`); a row guessing "after" is answered
-    by its table before the edit, the others by the edited tables.  Then one
-    row-wise draw measures the outputs.  Returns (xs, z), int arrays with one
-    row per trial.  `traces`, one list per row, receive each row's slot
-    records as `run_quantum_sim` writes them.
-    """
-    circuit = adv.circuit
-    keyed = circuit.key is not None
-    if base.fwd.shape[1] != (circuit.regs.dim(circuit.key) if keyed else 1):
-        raise PreconditionError(f"{base.fwd.shape[1]} table(s) per row do not match the "
-                                "circuit's key register")
-    rows = len(base)
-    index = (TRIAL, circuit.key) if keyed else (TRIAL,)
-    measured = circuit.query_registers()
-    slot_of, miss_of, after_of = _menu_columns(circuit.num_slots, True)
-    guessed = slot_of[picks] if picks is not None else np.zeros((rows, 0), dtype=np.int64)
-    tables = base.copy()
-    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), rows)
-    for i, tag in enumerate(circuit.slot_tags, 1):
-        answer = tables.fwd if tag == FORWARD else tables.inv
-        at_slot = guessed == i
-        live = at_slot.any(axis=1)
-        hit = np.flatnonzero(live)
-        entries = {}
-        if len(hit):
-            pick = picks[hit, at_slot[hit].argmax(axis=1)]
-            values, state = sample_rows(state, measured, rng, live)
-            keys = values[hit, 0] if keyed else 0
-            xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], base, external)
-            after = np.zeros(rows, dtype=bool)
-            after[hit] = after_of[pick] == 1
-            before = answer.copy()
-            tables.reprogram(hit, keys, xs, ys)
-            answer = np.where(after[:, None, None], before, answer)
-            if traces is not None:
-                lead = values[hit, :1] if keyed else np.zeros((len(hit), 0), dtype=np.int64)
-                edits = np.column_stack([lead, xs, ys]).tolist()
-                for r, point, edit in zip(hit.tolist(), values[hit].tolist(), edits):
-                    entries[r] = _trace_entry(i, tag, tuple(point), tuple(edit),
-                                              "after" if after[r] else "before")
-        if traces is not None:
-            for r, trace in enumerate(traces):
-                trace.append(entries.get(r) or _trace_entry(i, tag, None, None, None))
-        state = circuit.unitaries[i].apply(gather(state, answer, index, circuit.query,
-                                                  circuit.response))
-    values, _ = sample_rows(state, adv.x_regs + adv.z_regs, rng)
+    """One sampled measure-and-reprogram run per row of `base`: the walk
+    (`_walk`) with one draw per row at each measurement, then one row-wise
+    draw of the outputs.  Row r guesses the choice `picks[r]`, menu indices
+    as `sample_sim_choices` draws them (None: the plain circuit), and reads
+    `external` row r.  Returns (xs, z), int arrays with one row per trial."""
+    (rows,) = _walk(adv, base, picks, external, traces, rng)
+    values, _ = sample_rows(rows.state, adv.x_regs + adv.z_regs, rng)
     return values[:, :len(adv.x_regs)], values[:, len(adv.x_regs):]
+
+
+def exact_outcomes(adv: QuantumAdversary, bases: Sequence,
+                   choices: Optional[Sequence[SimChoice]] = None, target=None,
+                   traces: Optional[Sequence[list]] = None) -> list:
+    """The exact walk (`_walk`, splitting at each measurement) over a block
+    of rows: each outcome ((xs), (z), oracle) with its probability, pooled
+    over the rows.
+
+    Without `choices`, row r runs the plain circuit against ``bases[r]``,
+    which its outcomes name.  With them, row r runs the simulator from
+    ``bases[r]`` with ``choices[r]`` against `target`, concrete or a
+    :class:`PartialPermutation` read lazily, and its outcomes name the
+    target as the row read it.  A final row's share is its output marginal,
+    outputs at or below BRANCH_CUT dropped, times its fork weight.  A row
+    reading the target more than k times (k the choices' arity) is a
+    ProtocolError.
+    """
+    stack = PermutationStack.of(bases)
+    picks = external = None
+    if choices is not None:
+        picks = _choice_picks(choices, adv.circuit.num_slots)
+        external = PermutationStack.of([target]).take(np.zeros(len(bases), dtype=np.int64))
+    leaves = []
+    for part in _walk(adv, stack, picks, _CountedReads(stack if external is None else external),
+                      traces):
+        marg = measure_distribution(part.state, (TRIAL,) + adv.x_regs + adv.z_regs)
+        marg = marg.reshape(len(part.origin), -1)
+        leaves.append((part.origin, np.where(marg > BRANCH_CUT, marg, 0.0) * part.weight[:, None],
+                       part.external.calls, part.external.oracles.fwd[:, 0]))
+    groups, probs, calls, reads = map(np.concatenate, zip(*leaves))
+    _within_budget(calls, 0 if picks is None else picks.shape[1])
+    # the oracle each row is scored against: its own, the target, or the
+    # target as the row read it
+    labels = bases
+    if isinstance(target, PartialPermutation):
+        rows = reads.view(np.dtype((np.void, reads.itemsize * reads.shape[1]))).ravel()
+        _, first, groups = np.unique(rows, return_index=True, return_inverse=True)
+        labels = [PartialPermutation.from_table(read) for read in reads[first].tolist()]
+    elif choices is not None:
+        groups, labels = np.zeros_like(groups), [target]
+    width = probs.shape[1]
+    pooled = np.bincount((groups[:, None] * width + np.arange(width)).ravel(),
+                         weights=probs.ravel(), minlength=len(labels) * width)
+    pooled = pooled.reshape(len(labels), width)
+    outputs = adv.outputs()
+    return [(outputs[flat] + (labels[group],), float(pooled[group, flat]))
+            for group, flat in zip(*np.nonzero(pooled))]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +728,7 @@ class LiftedAdversary(ClassicalAdversary):
         if rng is None:
             raise DomainError("the lifted adversary needs an rng")
         if isinstance(self.inner, QuantumAdversary):
-            xs, z = self.run_batch(_stack(oracle), rng)
+            xs, z = self.run_batch(PermutationStack.of([oracle]), rng)
             self.last_external_calls = int(self.last_external_calls[0])
             return tuple(xs[0].tolist()), tuple(z[0].tolist())
         counter = _CountingOracle(oracle)
@@ -650,9 +750,15 @@ class LiftedAdversary(ClassicalAdversary):
         external = _CountedReads(oracles)
         out = sample_quantum_batch(self.inner, base, rng, picks, external)
         self.last_external_calls = external.calls
-        if (external.calls > self.k).any():
-            raise ProtocolError("lifted adversary exceeded its external budget")
+        _within_budget(external.calls, self.k)
         return out
+
+
+def _within_budget(calls: np.ndarray, k: int) -> None:
+    """Refuse a lifted run in which a row read the external oracle more
+    than k times."""
+    if (calls > k).any():
+        raise ProtocolError("lifted adversary exceeded its external budget")
 
 
 def build_lifted_adversary(adv, k: int) -> LiftedAdversary:

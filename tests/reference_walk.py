@@ -1,0 +1,46 @@
+"""A depth-first reference for the exact quantum measure-and-reprogram walk.
+
+One branch at a time, against a concrete permutation target: no batch, no
+forks of a lazily read target, no trace.  The tests check the batched walk
+in `permlift.simulators` against it.
+"""
+
+from permlift.circuits import FORWARD
+from permlift.qsim import apply_oracle, measurement_branches, zero_state
+from permlift.simulators import MISS
+
+
+def reference_distribution(adv, base, target, choice) -> dict:
+    """{((xs), (z)): probability} of the simulator run from `base` with
+    `choice` against `target`, summed over every measurement branch."""
+    circuit = adv.circuit
+    slot_map = choice.slot_map()
+    dist: dict = {}
+
+    def answer(state, table, i):
+        tag = circuit.slot_tags[i - 1]
+        return circuit.unitaries[i].apply(apply_oracle(state, table, tag, circuit.query,
+                                                       circuit.response))
+
+    def walk(state, table, i):
+        if i > circuit.num_slots:
+            for key, p in adv.output_distribution(state).items():
+                dist[key] = dist.get(key, 0.0) + p
+            return
+        j = slot_map.get(i)
+        if j is None:
+            walk(answer(state, table, i), table, i + 1)
+            return
+        for point, branch in measurement_branches(state, (circuit.query,)):
+            # a hit reads the target at the query value in the slot's
+            # direction, a miss at its base image in the other direction
+            forward = circuit.slot_tags[i - 1] == FORWARD
+            if choice.miss_flags[j] == MISS:
+                point = base.forward(point) if forward else base.backward(point)
+                forward = not forward
+            edit = (point, target.forward(point)) if forward else (target.backward(point), point)
+            edited = table.reprogram(*edit)
+            walk(answer(branch, table if choice.after_flags[j] else edited, i), edited, i + 1)
+
+    walk(circuit.unitaries[0].apply(zero_state(circuit.regs)), base, 1)
+    return dist

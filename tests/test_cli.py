@@ -119,6 +119,16 @@ def test_verify_lifting_quantum_cost_counts_forked_walks(monkeypatch, capsys):
     assert "no adversary fits --q 1" in capsys.readouterr().err
 
 
+def test_ceiling_error_suggests_monte_carlo_only_where_it_runs(capsys):
+    # 8!^2 * 3 choices; --kind classical rejects --mode monte-carlo (exit 2)
+    assert run_cli(["verify-lifting", "--kind", "classical", "--n", "8"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "4877107200 cases" in err and "ceiling 10000000" in err
+    assert "monte-carlo" not in err
+    assert run_cli(["verify-lifting", "--kind", "quantum", "--n", "8", "--k", "2"]) == EXIT_CONFIG
+    assert "use --mode monte-carlo" in capsys.readouterr().err
+
+
 def test_verify_lifting_quantum_at_n8_fits_the_ceiling(monkeypatch, capsys):
     # 8! * (1 + 2 * 4 * 8) = 2,661,120 walks; 8!^2 * 9 targets x bases x choices
     # (1.5e10) did not fit.  With no adversaries the run exits at --q at once.

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_walk import reference_distribution
+from test_decomposition import PERMS4, build_circuit, gates
 
 from permlift import lifting, simulators
 from permlift.battery import (
@@ -35,7 +39,9 @@ from permlift.lifting import (
     quantum_lift_monte_carlo,
     quantum_lifted_win_exact,
 )
-from permlift.perms import PartialPermutation, Permutation, all_permutations, is_good_pair
+from permlift.circuits import BACKWARD, FORWARD
+from permlift.perms import (PartialPermutation, Permutation, PermutationStack, all_permutations,
+                            is_good_pair)
 from permlift.simulators import build_lifted_adversary, run_quantum_sim, sim_choice_space
 
 
@@ -195,22 +201,31 @@ def test_exact_lifting_certifies_the_built_lifted_adversary(monkeypatch):
     # an exact lift that simulates another experiment (a lazy walk that forgets
     # the target values it read, so the win test sees an independent target)
     # still reports holds, and only the comparison with the built object fails
-    real = PartialPermutation.forks
-    monkeypatch.setattr(PartialPermutation, "forks", lambda self, direction, v: tuple(
-        (value, weight, self) for value, weight, _ in real(self, direction, v)))
+    real = simulators._edit_rows
+
+    def forget(tag, miss, rows, keys, points, base, external):
+        xs, ys = real(tag, miss, rows, keys, points, base, external)
+        external.oracles.fwd[rows, keys, xs] = external.oracles.inv[rows, keys, ys] = -1
+        return xs, ys
+
+    monkeypatch.setattr(simulators, "_edit_rows", forget)
     forgetful = quantum_lift_exact(qadv, rel)
     assert forgetful.holds and forgetful.p_lifted == pytest.approx(0.25)
     assert not _within_3_sigma(forgetful.p_lifted, sampled, 3000)
 
 
 @pytest.mark.parametrize("lift,adv,runner", [
-    (quantum_lift_exact, qa_basis_probe(4), "run_quantum_sim"),
+    (quantum_lift_exact, qa_basis_probe(4), "exact_outcomes"),
     (classical_lift_exact, FixedPointSeeker(4), "run_classical_sim"),
 ])
 def test_factor_zero_verdict_is_vacuous_and_not_enumerated(monkeypatch, lift, adv, runner):
     # k^2 = n makes the factor 0: the verdict holds whatever the lifted side
     # wins, so no simulator runs (the quantum one took 5.3 s for nothing)
-    def refuse(*args, **kwargs):
+    real = getattr(lifting, runner)
+
+    def refuse(adv, *args):
+        if runner == "exact_outcomes" and len(args) == 1:
+            return real(adv, *args)  # the adversary's own runs, without choices
         raise AssertionError("the lifted side of a vacuous verdict was enumerated")
 
     monkeypatch.setattr(lifting, runner, refuse)
@@ -230,18 +245,25 @@ def test_non_vacuous_report_keeps_its_shape():
 # Lazy target against the n!-target enumeration
 
 
-def _reference_lifted_win(adv, rel, k):
-    """(p_lifted, number of summed terms) with every target enumerated: one
-    simulator run per target x base x choice against the concrete target."""
-    perms = list(all_permutations(rel.n))
-    choices = sim_choice_space(adv.circuit.num_slots, k, True)
-    total, terms = 0.0, 0
-    for target, base, choice in itertools.product(perms, perms, choices):
-        for (xs, z), p in run_quantum_sim(adv, base, target, choice, mode="exact").items():
+def _reference_win(adv, rel, cases):
+    """(mean win, number of summed terms) of the depth-first reference over
+    (target, base, choice) cases against concrete targets."""
+    total, terms, count = 0.0, 0, 0
+    for target, base, choice in cases:
+        count += 1
+        for (xs, z), p in reference_distribution(adv, base, target, choice).items():
             terms += 1
             if rel.wins(xs, tuple(target.forward(x) for x in xs), z):
                 total += p
-    return total / (len(perms) ** 2 * len(choices)), terms
+    return total / count, terms
+
+
+def _reference_lifted_win(adv, rel, k):
+    """(p_lifted, number of summed terms) with every target enumerated: one
+    reference run per target x base x choice."""
+    perms = list(all_permutations(rel.n))
+    choices = sim_choice_space(adv.circuit.num_slots, k, True)
+    return _reference_win(adv, rel, itertools.product(perms, perms, choices))
 
 
 def _rounding_bound(terms):
@@ -277,13 +299,56 @@ def test_lazy_target_matches_the_full_enumeration(lazy_references):
 
 
 def test_wrong_fork_weight_fails_the_cross_check(monkeypatch, lazy_references):
-    # 1/n for every unread value instead of 1/(n - m) once m values are read
-    real = PartialPermutation.forks
-    monkeypatch.setattr(PartialPermutation, "forks", lambda self, direction, v: tuple(
-        (value, weight if extended is self else 1 / self.n, extended)
-        for value, weight, extended in real(self, direction, v)))
+    # 1/n for every unread value instead of 1/(n - m) once m values are read;
+    # a k=1 walk reads only with m = 0, where the two agree
+    real = PermutationStack.forks
+
+    def uniform(self, rows, keys, points, forward):
+        mask, weight = real(self, rows, keys, points, forward)
+        return mask, np.where(weight < 1, 1 / mask.shape[1], weight)
+
+    monkeypatch.setattr(PermutationStack, "forks", uniform)
     gaps = _lazy_gaps(lazy_references)
-    assert gaps[-1] > 1 and sum(gap > 1 for gap in gaps[:-1]) > 0
+    assert gaps[-1] > 1 and max(gaps[:-1]) <= 1
+
+
+@pytest.mark.parametrize("taken", ["read value", "fork weight"])
+def test_value_from_the_neighbouring_row_fails_the_cross_check(monkeypatch, lazy_references,
+                                                               taken):
+    # each row of the walk gets the read value, or the fork weight, of the
+    # row before it
+    if taken == "read value":
+        read = simulators._CountedReads.read
+        monkeypatch.setattr(simulators._CountedReads, "read",
+                            lambda self, *args: np.roll(read(self, *args), 1))
+    else:
+        forks = PermutationStack.forks
+
+        def shifted(self, *args):
+            mask, weight = forks(self, *args)
+            return mask, np.roll(weight, 1)
+
+        monkeypatch.setattr(PermutationStack, "forks", shifted)
+    assert max(_lazy_gaps(lazy_references)) > 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lazy_walk_matches_the_reference_on_generated_circuits(data):
+    # per (base, choice): the lazy walk's win against the mean over all 4!
+    # concrete targets of the depth-first reference
+    slots = data.draw(st.integers(1, 3))
+    tags = data.draw(st.lists(st.sampled_from([FORWARD, BACKWARD]), min_size=slots, max_size=slots))
+    segments = data.draw(st.lists(st.lists(gates(), max_size=3), min_size=slots + 1,
+                                  max_size=slots + 1))
+    adv = build_circuit(segments, tags)
+    choice = data.draw(st.sampled_from(sim_choice_space(slots, data.draw(st.integers(1, 2)))))
+    base = data.draw(st.sampled_from(PERMS4))
+    rel = data.draw(st.sampled_from([relation_fixed_point(4), relation_output_guess(4)]))
+    lazy = sum(p * lifting._win(rel, outcome) for outcome, p in run_quantum_sim(
+        adv, base, PartialPermutation(4), choice, mode="exact").items())
+    reference, terms = _reference_win(adv, rel, ((t, base, choice) for t in PERMS4))
+    assert abs(lazy - reference) <= _rounding_bound(terms)
 
 
 # ---------------------------------------------------------------------------

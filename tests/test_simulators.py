@@ -308,6 +308,18 @@ def test_exact_trace_has_one_record_per_visited_slot_depth_first():
         run_quantum_sim(adv, base, target, choice, mode="sample",
                         rng=np.random.default_rng(seed), trace=sampled)
         assert sampled in (trace[:2], trace[2:])
+    # each final row lists its whole path, so the unguessed slot 1 before the
+    # split at slot 2 repeats once per branch
+    trace = []
+    run_quantum_sim(adv, base, target, SimChoice((2,), (HIT,), (0,)), mode="exact", trace=trace)
+    unguessed = {"slot": 1, "direction": FORWARD, "measured": None, "reprogram": None,
+                 "when": None}
+    assert trace == [
+        unguessed,
+        {"slot": 2, "direction": BACKWARD, "measured": 0, "reprogram": [1, 0], "when": "before"},
+        unguessed,
+        {"slot": 2, "direction": BACKWARD, "measured": 1, "reprogram": [0, 1], "when": "before"},
+    ]
 
 
 def test_quantum_sample_agrees_with_exact_statistics():
@@ -512,13 +524,22 @@ def assert_hit_reports_target(oracle_type, simulator):
 @pytest.mark.parametrize("simulator", ["classical", "quantum"])
 @pytest.mark.parametrize("oracle_type", ["permutation", "cipher"])
 def test_swapped_hit_and_miss_edit_is_caught(monkeypatch, oracle_type, simulator):
+    # the classical simulator routes its edit in `_reprogram_edit`; the
+    # quantum walk routes both its forks and its edits in `_read_points`
     assert_hit_reports_target(oracle_type, simulator)
-    real = simulators._reprogram_edit
-    monkeypatch.setattr(
-        simulators, "_reprogram_edit",
-        lambda tag, miss, point, base, target:
-            real(tag, MISS if miss == HIT else HIT, point, base, target),
-    )
+    if simulator == "classical":
+        real = simulators._reprogram_edit
+        monkeypatch.setattr(
+            simulators, "_reprogram_edit",
+            lambda tag, miss, point, base, target:
+                real(tag, MISS if miss == HIT else HIT, point, base, target),
+        )
+    else:
+        real = simulators._read_points
+        monkeypatch.setattr(
+            simulators, "_read_points",
+            lambda tag, miss, *rest: real(tag, np.where(miss == HIT, MISS, HIT), *rest),
+        )
     with pytest.raises(AssertionError):
         assert_hit_reports_target(oracle_type, simulator)
 
