@@ -38,7 +38,6 @@ from .perms import Permutation, all_permutations, is_good_pair, permutation_coun
 from .simulators import (
     choice_count,
     decomposition_residual,
-    forked_walk_count,
     run_classical_sim,
     run_quantum_sim,
     sample_sim_choice,
@@ -160,25 +159,27 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
                 raise DomainError(f"verify-lifting --mode {args.mode} reads no --{flag}; "
                                   "only --mode monte-carlo samples")
     rel = get_game(args.game, n)
-    if args.kind == "interactive":
-        qadv = qa_value_reporter(n)
-        slots = qadv.circuit.num_slots
-    else:
-        slots = q if args.kind == "classical" else 2 * q
+    qadv = qa_value_reporter(n)  # the interactive adversary
+    slots = qadv.circuit.num_slots if args.kind == "interactive" else 2 * q
     # only quantum lifting has a monte-carlo mode to fall back on
     hint = "; use --mode monte-carlo" if args.kind == "quantum" else ""
-    if args.mode == "exhaustive" and k * k >= n:
-        # the factor is <= 0, so the verdict is vacuous and only the adversary
-        # side runs: once per target (and instance, of which there is one)
+    # When k^2 >= n the factor is <= 0 and only the adversary side runs.  A
+    # classical path reads the base once per query and once more per guessed
+    # index, and the target once per guessed index, each read forking at most
+    # n ways: n^q adversary leaves, and n^(q + 2j) for a choice of j guesses.
+    if args.kind == "classical":  # always exhaustive
+        lifted = choice_count(q, k, False, n * n) if k * k < n else 0
+        require_enumerable(n ** q * (1 + lifted))
+    elif args.mode == "exhaustive" and k * k >= n:
+        # once per target (and instance, of which there is one)
         require_enumerable(permutation_count(n), hint)
     elif args.mode == "exhaustive" and args.kind == "quantum":
         # one circuit run per target, then per base the walks of every choice,
         # forked at each lazy target read
-        require_enumerable(permutation_count(n) * (1 + forked_walk_count(slots, k, n)), hint)
+        require_enumerable(permutation_count(n) * (1 + choice_count(slots, k, True, n)), hint)
     elif args.mode == "exhaustive":
-        # exact lifting runs the simulator once per target x base x choice
-        require_enumerable(permutation_count(n) ** 2
-                           * choice_count(slots, k, with_timing=args.kind != "classical"))
+        # interactive lifting runs the simulator once per target x base x choice
+        require_enumerable(permutation_count(n) ** 2 * choice_count(slots, k))
     if args.kind == "classical":
         for adv in _within_q([a for a in classical_battery(n) if a.budget <= q], q):
             results.append(classical_lift_exact(adv, rel, k).to_dict())

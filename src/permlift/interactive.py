@@ -274,14 +274,9 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
 
 def interactive_lift_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
                            n: int, k: int, game: str) -> LiftReport:
-    """Exact interactive lifting report, vacuous (p_lifted None, nothing
-    enumerated on the lifted side) when k^2 >= n makes the factor <= 0."""
-    p_a = real_game_win_exact(instances, adv, n)
-    factor = quantum_factor(n, adv.queries, k)
-    vacuous = factor <= 0
-    p_b = None if vacuous else lifted_game_win_exact(instances, adv, n, k)
-    return LiftReport(
-        kind="interactive", game=game, adversary=adv.name, n=n,
-        q=adv.queries, k=k, p_adversary=p_a, p_lifted=p_b, factor=factor,
-        holds=vacuous or p_b >= float(factor) * p_a - 1e-12, exact=True, vacuous=vacuous,
-    )
+    """Exact interactive lifting report, vacuous when k^2 >= n
+    (`LiftReport.of_exact`); it holds within 1e-12, as a quantum one does."""
+    return LiftReport.of_exact(
+        "interactive", game, adv.name, n, adv.queries, k, quantum_factor(n, adv.queries, k),
+        real_game_win_exact(instances, adv, n),
+        lambda: lifted_game_win_exact(instances, adv, n, k), slack=1e-12)

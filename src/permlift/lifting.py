@@ -3,11 +3,11 @@
 For a relation R and an adversary A, the lifted k-query algorithm B must win
 with probability at least (1 - k^2/n) / (2q+1)^k (classical) or
 (1 - k^2/n) / (8q+1)^(2k) (quantum) times A's winning probability.  At desk
-scale both sides are computed as exact expectations over every permutation,
-every internal permutation, every simulator choice, and every measurement
-branch (a quantum simulator reads the target lazily instead of running once
-per target); beyond that a seeded Monte Carlo estimate with a 3-sigma margin
-is used.
+scale both sides are computed as exact expectations over uniform target and
+internal permutations, every simulator choice, and every measurement branch:
+the target is read lazily, and a classical run reads its base lazily too, so
+its expectation is a tree of at most q + 2k reads per path, not n! x n!
+runs.  Beyond that a seeded Monte Carlo estimate with a 3-sigma margin is used.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .games import Relation
-from .perms import BLOCK_ROWS, PartialPermutation, Permutation, PermutationStack, all_permutations
+from .perms import (BLOCK_ROWS, PartialPermutation, Permutation, PermutationStack, Unread,
+                    all_permutations)
 from .qsim import batch_rows
 from .simulators import (
     ClassicalAdversary,
@@ -57,6 +58,18 @@ class LiftReport:
     sigma: Optional[float] = None
     #: k^2 >= n: the factor is <= 0, so the verdict holds without p_lifted
     vacuous: bool = False
+
+    @classmethod
+    def of_exact(cls, kind: str, game: str, adversary: str, n: int, q: int, k: int,
+                 factor: Fraction, p_adversary, lifted: Callable, slack: float = 0):
+        """An exact report, holding within `slack`.  When k^2 >= n the factor is
+        <= 0, the inequality holds whatever the lifted side wins, and
+        lifted() is not called: the report is vacuous, with p_lifted None."""
+        vacuous = factor <= 0
+        p_b = None if vacuous else lifted()
+        return cls(kind, game, adversary, n, q, k, float(p_adversary),
+                   None if vacuous else float(p_b), factor,
+                   vacuous or p_b >= factor * p_adversary - slack, True, vacuous=vacuous)
 
     @property
     def margin(self) -> Optional[float]:
@@ -91,13 +104,13 @@ def quantum_factor(n: int, q: int, k: int) -> Fraction:
     return (1 - Fraction(k * k, n)) / Fraction(8 * q + 1) ** (2 * k)
 
 
-def _win(rel: Relation, outcome):
+def _win(rel: Relation, outcome, unit=1):
     """Whether outcome = (xs, z, target) wins against its target; against a
     target read in part, a :class:`PartialPermutation`, the share of its
-    completions against which (xs, z) wins."""
+    completions against which (xs, z) wins, exact for unit Fraction(1)."""
     xs, z, target = outcome
     if isinstance(target, PartialPermutation):
-        return sum(weight for ys, weight in target.completions(xs) if rel.wins(xs, ys, z))
+        return sum(weight for ys, weight in target.completions(xs, unit) if rel.wins(xs, ys, z))
     return rel.wins(xs, tuple(target.forward(x) for x in xs), z)
 
 
@@ -111,9 +124,9 @@ def exact_mean(blocks: Iterable, outcomes: Callable, accept: Callable) -> tuple:
     A block is (shared, cases): cases that run together, and what they
     share (a target, a challenger) or None.  ``outcomes(shared, cases)``
     yields (outcome, weight) pairs pooled over the cases, outcome (xs, z,
-    target) and weight 1 for a classical run or the branch probability for
-    a quantum one; ``accept(shared, outcome)`` returns a bool or the share
-    of the outcome that wins, in [0, 1].  Weighted shares are summed in
+    target) and weight the share of a classical run's leaf or the branch
+    probability of a quantum one; ``accept(shared, outcome)`` returns a bool
+    or the share of the outcome that wins, in [0, 1].  Weighted shares are summed in
     enumeration order; a True share adds the weight unchanged.
     """
     total = 0
@@ -134,94 +147,94 @@ def case_blocks(shared, cases: Iterable, size: int):
         yield shared, block
 
 
-Runners = namedtuple("Runners", "run sim choices size mean")
+def lazy_leaves(run: Callable, *tables):
+    """(output, weight, tables as read) for each leaf of run(*tables): a run
+    that reads a lazily read table where it has not read yet (`perms.Unread`)
+    runs again from the start once per value of that point, with the exact
+    weight Fraction(1, n - m) of m pairs read.  A run of concrete tables is
+    one leaf of weight 1."""
+    todo = [(tables, 1)]
+    while todo:
+        tables, weight = todo.pop()
+        try:
+            yield run(*tables), weight, tables
+        except Unread as unread:
+            table, direction, point = unread.args
+            i = next(i for i, read in enumerate(tables) if read is table)
+            todo += [(tables[:i] + (extended,) + tables[i + 1:], weight * w)
+                     for _, w, extended in table.forks(direction, point, Fraction(1))]
+
+
+Runners = namedtuple("Runners", "run sim choices size mean unit tables")
 
 
 def adversary_runners(adv) -> Runners:
     """An adversary's runners, built once per verdict (not per run).
 
-    run(oracles) yields the weighted outcomes (xs, z, oracle) of the plain
-    runs against a block of oracles, and sim(target, cases) those (xs, z,
-    target as read) of the simulator against `target` for a block of (base,
-    choice) cases.  A quantum adversary runs a block as one exact walk
-    (`exact_outcomes`) of at most `size` rows before its splits.
-    choices(k) lists the simulator's choices, and mean(total, count)
-    divides exactly or in floats.
+    run(oracles) yields the weighted outcomes (xs, z, oracle as read) of the
+    plain runs against a block of oracles, and sim(target, cases) those of
+    the simulator against `target` for a block of (base, choice) cases: one
+    exact walk (`exact_outcomes`) of at most `size` rows before its splits,
+    or the `lazy_leaves` of each classical run.  choices(k) lists the
+    choices, mean(total, count) divides in floats or exactly (unit weight
+    `unit`), and tables(n) stands for all n! tables: the n!, or one unread
+    PartialPermutation for a classical adversary.
     """
     if isinstance(adv, QuantumAdversary):
         return Runners(
             lambda oracles: exact_outcomes(adv, oracles),
             lambda target, cases: exact_outcomes(adv, *zip(*cases), target),
             lambda k: sim_choice_space(adv.circuit.num_slots, k, True),
-            batch_rows(adv.circuit.regs), operator.truediv)
+            batch_rows(adv.circuit.regs), operator.truediv, 1, all_permutations)
     return Runners(
-        lambda oracles: [(adv.run(oracle) + (oracle,), 1) for oracle in oracles],
-        lambda target, cases: [(run_classical_sim(adv, base, target, choice) + (target,), 1)
-                               for base, choice in cases],
-        lambda k: sim_choice_space(adv.budget, k, False), BLOCK_ROWS, Fraction)
+        lambda oracles: (((xs, z, read), weight) for oracle in oracles
+                         for (xs, z), weight, (read,) in lazy_leaves(adv.run, oracle)),
+        lambda target, cases: (((xs, z, read), weight) for base, choice in cases
+                               for (xs, z), weight, (_, read) in lazy_leaves(
+                                   functools.partial(run_classical_sim, adv, choice=choice),
+                                   base, target)),
+        lambda k: sim_choice_space(adv.budget, k, False), BLOCK_ROWS, Fraction, Fraction(1),
+        lambda n: [PartialPermutation(n)])
 
 
 def _adversary_win(adv, rel: Relation):
     """The adversary's win probability over every target."""
     runners = adversary_runners(adv)
-    return runners.mean(*exact_mean(case_blocks(None, all_permutations(rel.n), runners.size),
+    return runners.mean(*exact_mean(case_blocks(None, runners.tables(rel.n), runners.size),
                                     lambda _, oracles: runners.run(oracles),
-                                    lambda _, outcome: _win(rel, outcome)))
+                                    lambda _, outcome: _win(rel, outcome, runners.unit)))
 
 
-def _lifted_win(adv, rel: Relation, k: int):
+def _lifted_win(adv, rel: Relation, k: int = 1):
     """The simulator's win probability over target x base x choice.
 
-    A quantum simulator reads the target lazily, so one unread target
-    stands for all n!: each outcome carries the partial target its branch
-    read and wins with its share of that target's completions.
+    One unread target stands for all n! (a classical simulator's base too):
+    each outcome carries the partial target its run read and wins with its
+    share of that target's completions.
     """
     runners = adversary_runners(adv)
-    perms = list(all_permutations(rel.n))
-    quantum = isinstance(adv, QuantumAdversary)
-    targets = [PartialPermutation(rel.n)] if quantum else perms
-    score = functools.partial(_win, rel)
-    if quantum:  # outcomes repeat across blocks, so each (xs, z, target) is scored once
-        score = functools.lru_cache(maxsize=None)(score)
-    blocks = (block for target in targets for block in case_blocks(
-        target, itertools.product(perms, runners.choices(k)), runners.size))
+    # outcomes repeat across blocks and leaves, so each (xs, z, target) is scored once
+    score = functools.lru_cache(maxsize=None)(functools.partial(_win, rel, unit=runners.unit))
+    cases = itertools.product(runners.tables(rel.n), runners.choices(k))
+    blocks = case_blocks(PartialPermutation(rel.n), cases, runners.size)
     return runners.mean(*exact_mean(blocks, runners.sim, lambda _, outcome: score(outcome)))
 
 
-def classical_adversary_win_exact(adv: ClassicalAdversary, rel: Relation) -> Fraction:
-    return _adversary_win(adv, rel)
-
-
-def classical_lifted_win_exact(adv: ClassicalAdversary, rel: Relation, k: int) -> Fraction:
-    return _lifted_win(adv, rel, k)
+# Per-kind names of the one driver: Fractions (classical) or floats (quantum)
+classical_adversary_win_exact = quantum_adversary_win_exact = _adversary_win
+classical_lifted_win_exact = quantum_lifted_win_exact = _lifted_win
 
 
 def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> LiftReport:
-    """Exact classical lifting report.  When k^2 >= n the factor is <= 0, the
-    inequality holds whatever the lifted side wins, and that side is not
-    enumerated: the report is vacuous, with p_lifted None."""
-    p_a = classical_adversary_win_exact(adv, rel)
-    factor = classical_factor(rel.n, adv.budget, k)
-    vacuous = factor <= 0
-    p_b = None if vacuous else classical_lifted_win_exact(adv, rel, k)
-    return LiftReport(
-        kind="classical", game=rel.name, adversary=adv.name, n=rel.n,
-        q=adv.budget, k=k, p_adversary=float(p_a), p_lifted=None if vacuous else float(p_b),
-        factor=factor, holds=vacuous or p_b >= factor * p_a, exact=True, vacuous=vacuous,
-    )
-
-
-def quantum_adversary_win_exact(adv: QuantumAdversary, rel: Relation) -> float:
-    return _adversary_win(adv, rel)
-
-
-def quantum_lifted_win_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> float:
-    return _lifted_win(adv, rel, k)
+    """Exact classical lifting report, vacuous when k^2 >= n (`LiftReport.of_exact`)."""
+    return LiftReport.of_exact(
+        "classical", rel.name, adv.name, rel.n, adv.budget, k,
+        classical_factor(rel.n, adv.budget, k), classical_adversary_win_exact(adv, rel),
+        lambda: classical_lifted_win_exact(adv, rel, k))
 
 
 def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> LiftReport:
-    """Exact quantum lifting report, vacuous (p_lifted None, nothing
-    enumerated on the lifted side) when k^2 >= n makes the factor <= 0.
+    """Exact quantum lifting report, vacuous when k^2 >= n (`LiftReport.of_exact`).
 
     The inequality is tested with a slack of 1e-12 for float rounding.  Each
     side is a float sum of N nonnegative terms (branch probabilities times
@@ -234,15 +247,10 @@ def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> Lift
     to 8e-16 at n=4).  1e-12 stays above the rounding seen and far below
     any real margin at n <= 8.
     """
-    p_a = quantum_adversary_win_exact(adv, rel)
-    factor = quantum_factor(rel.n, adv.queries, k)
-    vacuous = factor <= 0
-    p_b = None if vacuous else quantum_lifted_win_exact(adv, rel, k)
-    return LiftReport(
-        kind="quantum", game=rel.name, adversary=adv.name, n=rel.n,
-        q=adv.queries, k=k, p_adversary=p_a, p_lifted=p_b, factor=factor,
-        holds=vacuous or p_b >= float(factor) * p_a - 1e-12, exact=True, vacuous=vacuous,
-    )
+    return LiftReport.of_exact(
+        "quantum", rel.name, adv.name, rel.n, adv.queries, k,
+        quantum_factor(rel.n, adv.queries, k), quantum_adversary_win_exact(adv, rel),
+        lambda: quantum_lifted_win_exact(adv, rel, k), slack=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -116,13 +117,18 @@ class Permutation:
         return cls(int(v) for v in rng.permutation(n))
 
 
+class Unread(BaseException):
+    """Raised by a read of a PartialPermutation at a point not read yet, with args
+    (table, direction, point); not an Exception, so ``except Exception`` passes it."""
+
+
 class PartialPermutation:
     """A uniform random permutation on {0..n-1}, sampled lazily.
 
     ``fwd`` and ``inv`` hold the m pairs read so far, and every bijection
     that agrees with them is equally likely; a new instance has read
-    nothing.  Instances are immutable and hashable; equality is equality of
-    the known pairs.
+    nothing, and a read anywhere else raises :class:`Unread`.  Instances are
+    immutable and hashable; equality is equality of the known pairs.
     """
 
     __slots__ = ("n", "fwd", "inv", "_hash")
@@ -133,18 +139,31 @@ class PartialPermutation:
         self.inv: dict[int, int] = {}
         self._hash = hash(frozenset())
 
-    def forks(self, direction: str, v: int) -> tuple:
+    def forward(self, x: int) -> int:
+        return self.fwd[x] if x in self.fwd else self._unread("forward", x)
+
+    def backward(self, y: int) -> int:
+        return self.inv[y] if y in self.inv else self._unread("backward", y)
+
+    def _unread(self, direction: str, v: int):
+        raise Unread(self, direction, v) if 0 <= v < self.n else DomainError(
+            f"element {v} outside 0..{self.n - 1}")
+
+    def reprogram(self, x: int, y: int) -> "LazyEdit":
+        return LazyEdit(self, x, y)
+
+    def forks(self, direction: str, v: int, unit=1) -> tuple:
         """(value, weight, extended) for each value the permutation may take at
         v, read "forward" (pi(v)) or "backward" (pi^-1(v)): a known value has
-        weight 1 and leaves the permutation as it is; otherwise each of the
-        n - m unused values has weight 1/(n - m) and extends it by one pair."""
+        weight 1 and leaves the permutation as it is; each of the n - m unused
+        values has weight unit/(n - m), exact if unit is, and extends it."""
         if not 0 <= v < self.n:
             raise DomainError(f"element {v} outside 0..{self.n - 1}")
         forward = direction == "forward"
         known, used = (self.fwd, self.inv) if forward else (self.inv, self.fwd)
         if v in known:
             return ((known[v], 1, self),)
-        weight = 1 / (self.n - len(known))
+        weight = unit / (self.n - len(known))
         return tuple((w, weight, self._with(v, w) if forward else self._with(w, v))
                      for w in range(self.n) if w not in used)
 
@@ -166,13 +185,13 @@ class PartialPermutation:
                 out = out._with(x, int(y))
         return out
 
-    def completions(self, xs: Sequence[int]) -> list:
+    def completions(self, xs: Sequence[int], unit=1) -> list:
         """(ys, weight) for each joint value of the permutation at xs, weighted
-        by its share of the completions."""
+        by its share of the completions, in the type of `unit` (see forks)."""
         if not xs:
             return [((), 1)]
-        return [((y,) + ys, w * rest) for y, w, extended in self.forks("forward", xs[0])
-                for ys, rest in extended.completions(xs[1:])]
+        return [((y,) + ys, w * rest) for y, w, extended in self.forks("forward", xs[0], unit)
+                for ys, rest in extended.completions(xs[1:], unit)]
 
     def __eq__(self, other):
         return isinstance(other, PartialPermutation) and (self.n, self.fwd) == (other.n, other.fwd)
@@ -182,6 +201,26 @@ class PartialPermutation:
 
     def __repr__(self):
         return f"PartialPermutation({self.n}, {sorted(self.fwd.items())})"
+
+
+class LazyEdit(namedtuple("LazyEdit", "inner x y")):
+    """:func:`reprogram` of a lazily read table, read only where the edit rule
+    needs it: pi[x -> y](a) reads pi(a), and pi(x) only when pi(a) is y (a is
+    the old preimage of y, rerouted to pi(x)); a backward read mirrors this."""
+
+    def forward(self, a: int) -> int:
+        if a == self.x:
+            return self.y
+        b = self.inner.forward(a)
+        return self.inner.forward(self.x) if b == self.y else b
+
+    def backward(self, b: int) -> int:
+        if b == self.y:
+            return self.x
+        a = self.inner.backward(b)
+        return self.inner.backward(self.y) if a == self.x else a
+
+    reprogram = PartialPermutation.reprogram
 
 
 class PermutationStack:

@@ -82,16 +82,12 @@ def options_per_index(num_slots: int, with_timing: bool) -> int:
     return (4 * num_slots + 1) if with_timing else (2 * num_slots + 1)
 
 
-def choice_count(num_slots: int, k: int, with_timing: bool = True) -> int:
-    """len(sim_choice_space(...)), counted: j guessed indices take j distinct slots."""
-    flags = 4 if with_timing else 2
-    return sum(math.comb(k, j) * math.perm(num_slots, j) * flags ** j for j in range(k + 1))
-
-
-def forked_walk_count(num_slots: int, k: int, n: int) -> int:
-    """Quantum walks per base when the target is read lazily: a choice with j
-    guessed indices reads the target j times, each read forking up to n ways."""
-    return sum(math.comb(k, j) * math.perm(num_slots, j) * (4 * n) ** j for j in range(k + 1))
+def choice_count(num_slots: int, k: int, with_timing: bool = True, forks: int = 1) -> int:
+    """len(sim_choice_space(...)), counted: j guessed indices take j distinct
+    slots.  With `forks`, the runs of a lazily read simulator over every
+    choice when each guessed index forks its runs at most that many ways."""
+    per_guess = (4 if with_timing else 2) * forks
+    return sum(math.comb(k, j) * math.perm(num_slots, j) * per_guess ** j for j in range(k + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,7 +241,7 @@ def run_classical_sim(adv: ClassicalAdversary, base, target,
                       choice: Optional[SimChoice] = None, rng=None,
                       trace: Optional[list] = None):
     """Run the classical measure-and-reprogram experiment against a
-    permutation or cipher oracle; returns (xs, z)."""
+    permutation or cipher oracle, or one read lazily; returns (xs, z)."""
     if choice is None:
         if rng is None:
             raise DomainError("need either an explicit choice or an rng")

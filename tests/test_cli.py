@@ -82,7 +82,8 @@ def test_trace_rejects_interactive_kind(capsys):
 
 
 @pytest.mark.parametrize("args,cost", [
-    (["--kind", "classical", "--n", "5", "--q", "1", "--k", "2"], 72000),  # 120^2 * 5 runs
+    # 5 adversary leaves + 5 * (1 + 2 * 2 * 5^2) simulator leaves, at most
+    (["--kind", "classical", "--n", "5", "--q", "1", "--k", "2"], 510),
     (["--kind", "interactive", "--n", "4"], 2880),  # 24^2 * (4 * 1 + 1) runs
 ], ids=["args0", "args1"])
 def test_verify_lifting_cost_counts_the_enumerated_choices(args, cost, monkeypatch, capsys):
@@ -94,15 +95,28 @@ def test_verify_lifting_cost_counts_the_enumerated_choices(args, cost, monkeypat
 
 
 def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
-    # 5!^2 * 17 choices at q=2, k=2; without the k exponent it read 72,000,
-    # under the ceiling.  With no adversaries a missed ceiling exits 0 at once
+    # 5^2 * (1 + 1 + 2 * 2 * 50 + 2 * 50^2) leaves at q=2, k=2, each guessed
+    # index adding 2 flags and 2 reads; at k=1 it reads 2,550, under the
+    # ceiling.  With no adversaries a missed ceiling exits 2 at once
     # instead of running.
     monkeypatch.setattr(cli, "EXHAUSTIVE_CEILING", 100_000)
     monkeypatch.setattr(cli, "classical_battery", lambda n: [])
     code = run_cli(["verify-lifting", "--kind", "classical", "--n", "5", "--q", "2",
                     "--k", "2"])
     assert code == EXIT_CONFIG
-    assert "244800 cases" in capsys.readouterr().err
+    assert "130050 cases" in capsys.readouterr().err
+    assert run_cli(["verify-lifting", "--kind", "classical", "--n", "5", "--q", "2",
+                    "--k", "1"]) == EXIT_CONFIG
+    assert "no adversary fits --q 2" in capsys.readouterr().err
+
+
+def test_verify_lifting_classical_n8_k2_fits_the_ceiling(monkeypatch, capsys):
+    # 8^2 * (1 + 1 + 4 * 128 + 2 * 128^2) = 2,130,048 leaves fit the ceiling,
+    # so the run stops only for want of an adversary
+    monkeypatch.setattr(cli, "classical_battery", lambda n: [])
+    assert run_cli(["verify-lifting", "--kind", "classical", "--n", "8", "--q", "2",
+                    "--k", "2", "--game", "fixed-point"]) == EXIT_CONFIG
+    assert "no adversary fits --q 2" in capsys.readouterr().err
 
 
 def test_verify_lifting_quantum_cost_counts_forked_walks(monkeypatch, capsys):
@@ -120,10 +134,12 @@ def test_verify_lifting_quantum_cost_counts_forked_walks(monkeypatch, capsys):
 
 
 def test_ceiling_error_suggests_monte_carlo_only_where_it_runs(capsys):
-    # 8!^2 * 3 choices; --kind classical rejects --mode monte-carlo (exit 2)
-    assert run_cli(["verify-lifting", "--kind", "classical", "--n", "8"]) == EXIT_CONFIG
+    # 16^2 * (1 + 1 + 4 * 512 + 2 * 512^2) leaves; --kind classical rejects
+    # --mode monte-carlo (exit 2)
+    assert run_cli(["verify-lifting", "--kind", "classical", "--n", "16", "--q", "2",
+                    "--k", "2"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "4877107200 cases" in err and "ceiling 10000000" in err
+    assert "134742528 cases" in err and "ceiling 10000000" in err
     assert "monte-carlo" not in err
     assert run_cli(["verify-lifting", "--kind", "quantum", "--n", "8", "--k", "2"]) == EXIT_CONFIG
     assert "use --mode monte-carlo" in capsys.readouterr().err
@@ -179,11 +195,14 @@ def test_verify_decomposition_rejects_monte_carlo(monkeypatch, capsys):
      "quantum_lift_exact"),
     (["--kind", "interactive", "--n", "7", "--k", "3", "--game", "output-guess"],
      "interactive_lift_exact"),
+    (["--kind", "classical", "--n", "16", "--q", "2", "--k", "4", "--game", "fixed-point"],
+     "classical_lift_exact"),
 ])
 def test_vacuous_verdict_prices_only_the_adversary_side(monkeypatch, capsys, argv, lift):
     # k^2 >= n makes the verdict vacuous and leaves the lifted side unrun, so
-    # only n! adversary runs are priced; pricing both sides named 255,548,160
-    # and 330,220,800 cases.  The lift is stubbed: only the pricing runs.
+    # only n! adversary runs (n^q classical leaves, 256 here) are priced;
+    # pricing both sides named 255,548,160, 330,220,800 and 806,355,456
+    # cases.  The lift is stubbed: only the pricing runs.
     class Vacuous:
         def to_dict(self):
             return {"holds": True, "vacuous": True}

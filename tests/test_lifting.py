@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lift import reference_adversary_win, reference_lifted_win
 from reference_walk import reference_distribution
 from test_decomposition import PERMS4, build_circuit, gates
 
 from permlift import lifting, simulators
 from permlift.battery import (
+    BackwardProbe,
     BlindGuess,
     FixedPointSeeker,
     ValueReporter,
@@ -33,6 +35,8 @@ from permlift.lifting import (
     classical_adversary_win_exact,
     classical_factor,
     classical_lift_exact,
+    classical_lifted_win_exact,
+    lazy_leaves,
     mr_check,
     quantum_factor,
     quantum_lift_exact,
@@ -40,9 +44,10 @@ from permlift.lifting import (
     quantum_lifted_win_exact,
 )
 from permlift.circuits import BACKWARD, FORWARD
-from permlift.perms import (PartialPermutation, Permutation, PermutationStack, all_permutations,
-                            is_good_pair)
-from permlift.simulators import build_lifted_adversary, run_quantum_sim, sim_choice_space
+from permlift.perms import (LazyEdit, PartialPermutation, Permutation, PermutationStack,
+                            all_permutations, is_good_pair)
+from permlift.simulators import (ClassicalAdversary, build_lifted_adversary, run_classical_sim,
+                                 run_quantum_sim, sim_choice_space)
 
 
 def test_factors():
@@ -349,6 +354,118 @@ def test_lazy_walk_matches_the_reference_on_generated_circuits(data):
         adv, base, PartialPermutation(4), choice, mode="exact").items())
     reference, terms = _reference_win(adv, rel, ((t, base, choice) for t in PERMS4))
     assert abs(lazy - reference) <= _rounding_bound(terms)
+
+
+# ---------------------------------------------------------------------------
+# Lazily read classical lifting against the n!^2 enumeration
+
+
+#: (adversary, relation, k): the n=4 classical battery on three games at k=1
+#: (C5's pairs) and at k=2
+CLASSICAL_PAIRS = [(adv, rel, k) for k in (1, 2)
+                   for rel in (relation_fixed_point(4), relation_output_guess(4),
+                               relation_double_sided_zero(1))
+                   for adv in classical_battery(4)]
+
+
+@pytest.fixture(scope="module")
+def classical_references():
+    return [(reference_adversary_win(adv, rel), reference_lifted_win(adv, rel, k))
+            for adv, rel, k in CLASSICAL_PAIRS]
+
+
+def _classical_mismatches(pairs, references):
+    """The pairs whose lazy (p_adversary, p_lifted) are not the reference's,
+    equal as Fractions."""
+    out = []
+    for (adv, rel, k), expected in zip(pairs, references):
+        got = (classical_adversary_win_exact(adv, rel), classical_lifted_win_exact(adv, rel, k))
+        if not all(type(p) is Fraction for p in got) or got != expected:
+            out.append((adv.name, rel.name, k, got, expected))
+    return out
+
+
+def test_lazy_classical_lift_equals_the_enumeration(classical_references):
+    assert len(CLASSICAL_PAIRS) == 30
+    assert _classical_mismatches(CLASSICAL_PAIRS, classical_references) == []
+
+
+def test_float_fork_weight_fails_the_classical_cross_check(monkeypatch, classical_references):
+    real = PartialPermutation.forks
+    monkeypatch.setattr(PartialPermutation, "forks", lambda self, *args: tuple(
+        (value, float(w), extended) for value, w, extended in real(self, *args)))
+    c5 = len(CLASSICAL_PAIRS) // 2  # the k=1 pairs
+    with pytest.raises(TypeError, match="Rational"):  # the exact mean refuses a float sum
+        _classical_mismatches(CLASSICAL_PAIRS[:c5], classical_references[:c5])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_edit_that_skips_the_reroute_fails_the_cross_check(monkeypatch, classical_references, k):
+    # the edited table answers every point but x from the inner table without
+    # testing it against y, so the old preimage of y keeps its stale value
+    monkeypatch.setattr(LazyEdit, "forward",
+                        lambda self, a: self.y if a == self.x else self.inner.forward(a))
+    monkeypatch.setattr(LazyEdit, "backward",
+                        lambda self, b: self.x if b == self.y else self.inner.backward(b))
+    pairs = [(i, pair) for i, pair in enumerate(CLASSICAL_PAIRS) if pair[2] == k]
+    assert _classical_mismatches([pair for _, pair in pairs],
+                                 [classical_references[i] for i, _ in pairs])
+
+
+class TreeAdversary(ClassicalAdversary):
+    """An adaptive query tree: a first query, then a second chosen from the
+    first answer, and an output chosen from the last answer."""
+
+    def __init__(self, first, second, outputs, report):
+        self.first, self.second, self.outputs, self.report = first, second, outputs, report
+        self.budget = 0 if first is None else 1 + (second is not None)
+        self.domain = 4
+        self.name = "tree"
+
+    def run(self, oracle, rng=None):
+        answer = 0
+        for i in range(self.budget):
+            direction, point = self.first if i == 0 else self.second[answer]
+            try:
+                answer = getattr(oracle, direction)(point)
+            except Exception:  # must not swallow the signal of an unread point
+                return (0,), ("swallowed",)
+        return (self.outputs[answer],), ((answer,) if self.report else ())
+
+
+def _queries():
+    return st.tuples(st.sampled_from(["forward", "backward"]), st.integers(0, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lazy_classical_lift_matches_the_reference_on_generated_trees(data):
+    depth = data.draw(st.integers(0, 2))
+    first = data.draw(_queries()) if depth else None
+    second = data.draw(st.lists(_queries(), min_size=4, max_size=4)) if depth == 2 else None
+    adv = TreeAdversary(first, second, data.draw(st.lists(st.integers(0, 3), min_size=4,
+                                                          max_size=4)), data.draw(st.booleans()))
+    rel = data.draw(st.sampled_from([relation_fixed_point(4), relation_output_guess(4)]))
+    k = data.draw(st.integers(1, 2))
+    assert classical_adversary_win_exact(adv, rel) == reference_adversary_win(adv, rel)
+    assert classical_lifted_win_exact(adv, rel, k) == reference_lifted_win(adv, rel, k)
+    # every path reads at most q + 2j points, j guessed indices: the CLI's price
+    for choice in sim_choice_space(adv.budget, k, False):
+        reads = adv.budget + 2 * sum(slot is not None for slot in choice.slots)
+        for _, _, (base, target) in lazy_leaves(
+                lambda base, target: run_classical_sim(adv, base, target, choice),
+                PartialPermutation(4), PartialPermutation(4)):
+            assert len(base.fwd) + len(target.fwd) <= reads
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (16, 1)])
+@pytest.mark.parametrize("adv", [BackwardProbe, ValueReporter])
+def test_lazy_classical_lift_reaches_past_the_enumeration(n, k, adv):
+    # backward-probe outputs pi^-1(0) and value-reporter 1, each a fixed point
+    # with probability 1/n, and so is the lifted run's output
+    report = classical_lift_exact(adv(n), relation_fixed_point(n), k)
+    assert report.holds and not report.vacuous
+    assert report.p_adversary == report.p_lifted == 1 / n
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from permlift.perms import (
     PartialPermutation,
     Permutation,
     PermutationStack,
+    Unread,
     all_permutations,
     bad_fraction,
     bad_fraction_sampled,
@@ -215,6 +216,36 @@ def test_partial_permutation_completions_and_identity():
     assert read.completions((0,)) == [((3,), 1)]
     with pytest.raises(DomainError):
         unread.forks("forward", 4)
+
+
+def test_partial_permutation_reads_signal_unread_points():
+    unread = PartialPermutation(4)
+    read = unread.forks("forward", 1)[2][2]  # pi(1) = 2
+    assert read.forward(1) == 2 and read.backward(2) == 1
+    with pytest.raises(Unread) as signal:
+        read.backward(0)
+    assert signal.value.args == (read, "backward", 0) and signal.value.args[0] is read
+    assert not issubclass(Unread, Exception)  # an `except Exception` cannot swallow it
+    for bad in (-1, 4):
+        with pytest.raises(DomainError):
+            read.forward(bad)
+        with pytest.raises(DomainError):
+            read.reprogram(0, 3).backward(bad)
+
+
+def test_lazy_edit_is_reprogram_and_reads_only_what_it_needs():
+    # over a fully read table the view answers as the edited table does, twice
+    # folded; over an unread one its first read is the queried point
+    for pi in all_permutations(4):
+        full = PartialPermutation.from_table(pi.fwd)
+        for (x, y), (u, v) in itertools.product(itertools.product(range(4), repeat=2), repeat=2):
+            edited = reprogram_seq(pi, [(x, y), (u, v)])
+            view = full.reprogram(x, y).reprogram(u, v)
+            assert all(view.forward(a) == edited.fwd[a] and view.backward(a) == edited.inv[a]
+                       for a in range(4))
+    with pytest.raises(Unread) as signal:
+        PartialPermutation(4).reprogram(0, 1).forward(2)
+    assert signal.value.args[1:] == ("forward", 2)
 
 
 def test_stack_row_edit_is_reprogram_on_every_case():
