@@ -36,6 +36,7 @@ from .lifting import (
 )
 from .perms import Permutation, all_permutations, is_good_pair, permutation_count
 from .simulators import (
+    RESIDUAL_TOL,
     choice_count,
     decomposition_residual,
     run_classical_sim,
@@ -136,7 +137,7 @@ def cmd_verify_decomposition(args: argparse.Namespace) -> int:
             "cases": cases, "skipped_not_good": skipped,
             "bad_fraction": bad_fraction,
             "max_residual": worst,
-            "ok": worst < 1e-9 and bad_fraction <= k ** 2 / n,
+            "ok": worst < RESIDUAL_TOL and bad_fraction <= k ** 2 / n,
         })
     return _finish(args, results, started, args.out)
 

@@ -179,7 +179,10 @@ def best_k_classical(rel: Relation, k: int, budget: int = 2_000_000) -> Fraction
         memo[key] = out
         return out
 
-    return value(tuple(range(len(perms))), k)
+    try:
+        return value(tuple(range(len(perms))), k)
+    finally:
+        del value  # the recursive closure holds its own cell; the memo goes with it
 
 
 # ---------------------------------------------------------------------------

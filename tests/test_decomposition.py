@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_simulators import qa_cipher_reporter
 
 from permlift import simulators
 from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sampler,
@@ -72,6 +73,14 @@ def test_requires_good_pair():
     ident = Permutation.identity(4)
     with pytest.raises(PreconditionError):
         decompose_state(adv, ident, ident, (0,))
+
+
+def test_keyed_circuit_is_refused():
+    # a circuit with a key register queries a cipher, and the decomposition
+    # reprograms permutations
+    base, target = next(good_pairs(4, (0,)))
+    with pytest.raises(PreconditionError, match="cannot query a Permutation oracle"):
+        decompose_state(qa_cipher_reporter(2, 4), base, target, (0,))
 
 
 @pytest.mark.parametrize("builder", [qa_value_reporter, qa_backward_probe,
@@ -195,11 +204,24 @@ def test_trie_components_equal_one_run_per_choice(adv, k):
 
 
 def test_choice_trie_shares_prefixes():
-    # 225 choices of 4 slots at k=2 take fewer nodes than one per (choice, slot)
-    choices, nodes, leaves = simulators._choice_trie(4, 2)
-    assert list(choices) == sim_choice_space(4, 2, True) and len(leaves) == 225
-    assert len(set(leaves)) == 225 and len(nodes) < 225 * 4
-    assert all(parent < node for node, (parent, *_) in enumerate(nodes[1:], start=1))
+    # 225 choices of 4 slots at k=2 take fewer rows than one per (choice, slot)
+    choices, signs, levels = simulators._choice_trie(4, 2)
+    assert list(choices) == sim_choice_space(4, 2, True)
+    assert signs == tuple(c.sign() for c in choices)
+    sizes = [1] + [len(parent) for parent, *_ in levels]
+    assert sizes[-1] == 225 and sum(sizes[1:]) == 404 < 225 * 4
+    assert all(0 <= parent.min() and parent.max() < size
+               for (parent, *_), size in zip(levels, sizes))
+    assert [len(parent) for parent, *_ in simulators._choice_trie(2, 2)[2]] == [9, 49]
+
+
+@pytest.fixture
+def fresh_trie():
+    """`_choice_trie` caches the sign of each choice: a test that plants a
+    sign clears the cache after planting it, and again when it ends, so no
+    other test reads a planted sign."""
+    yield
+    simulators._choice_trie.cache_clear()
 
 
 def planted(monkeypatch, name, old, new):
@@ -222,17 +244,34 @@ def test_trie_key_without_the_fired_set_is_caught(monkeypatch, adv):
     # choices that differ only in what is fired before a slot answers would
     # share one state
     assert worst_residual(adv, (0, 2)) < 1e-9
-    planted(monkeypatch, "_choice_trie", "key = (node, fired, projected)",
-            "key = (node, projected)")
+    planted(monkeypatch, "_choice_trie", "key = (rows[c], fired, projected)",
+            "key = (rows[c], projected)")
     assert worst_residual(adv, (0, 2)) > 1e-9
 
 
 @pytest.mark.parametrize("adv", [qa_value_reporter(4), qa_basis_probe(4), qa_two_query_prober(4)],
                          ids=lambda a: a.name)
-def test_sign_that_ignores_after_flags_is_caught(monkeypatch, adv):
+def test_sign_that_ignores_after_flags_is_caught(monkeypatch, fresh_trie, adv):
     assert worst_residual(adv, (1,)) < 1e-9
     monkeypatch.setattr(SimChoice, "sign", lambda self: 1)
+    simulators._choice_trie.cache_clear()
     assert worst_residual(adv, (1,)) > 1e-9
+
+
+NEIGHBOUR_ROW = {
+    "table": ("tables[tag][fired]", "tables[tag][np.roll(fired, 1)]"),
+    "mask": ("points[tag][miss, j]", "points[tag][np.roll(miss, 1), np.roll(j, 1)]"),
+}
+
+
+@pytest.mark.parametrize("part", NEIGHBOUR_ROW)
+def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, part):
+    # each row of a level runs under its own partial table and projection
+    planted(monkeypatch, "decompose_state", *NEIGHBOUR_ROW[part])
+    monkeypatch.setitem(globals(), "decompose_state", simulators.decompose_state)
+    for adv, k in CROSS_CHECK:
+        with pytest.raises(AssertionError):
+            test_trie_components_equal_one_run_per_choice(adv, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Relations, brute-force optima, and closed-form game bounds."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -80,6 +81,17 @@ def test_best_k_classical_full_information():
     everything = Relation("full", 1, 3, lambda xs, ys, z: True)
     assert best_k_classical(everything, 3) == 1
     assert best_k_classical(rel, 3) < 1  # some tables have no fixed point
+
+
+def test_best_k_classical_leaves_no_cyclic_garbage():
+    # the memo is freed when the call returns, not at the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert best_k_classical(relation_fixed_point(5), 2) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_best_k_classical_budget_error():
