@@ -174,13 +174,11 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
     elif args.mode == "exhaustive" and k * k >= n:
         # once per target (and instance, of which there is one)
         require_enumerable(permutation_count(n), hint)
-    elif args.mode == "exhaustive" and args.kind == "quantum":
-        # one circuit run per target, then per base the walks of every choice,
-        # forked at each lazy target read
-        require_enumerable(permutation_count(n) * (1 + choice_count(slots, k, True, n)), hint)
     elif args.mode == "exhaustive":
-        # interactive lifting runs the simulator once per target x base x choice
-        require_enumerable(permutation_count(n) ** 2 * choice_count(slots, k))
+        # one circuit run per target, then per base the walks of every choice,
+        # forked at each lazy target read; RelationChallenger reads nothing
+        # before its challenge, so interactive lifting costs what quantum does
+        require_enumerable(permutation_count(n) * (1 + choice_count(slots, k, True, n)), hint)
     if args.kind == "classical":
         for adv in _within_q([a for a in classical_battery(n) if a.budget <= q], q):
             results.append(classical_lift_exact(adv, rel, k).to_dict())

@@ -3,20 +3,21 @@
 A relation holds triples (xs, ys, z) with xs the adversary's marked outputs,
 ys their images under the external permutation, and z an auxiliary value.
 ``best_k_classical`` computes the exact optimal success probability of an
-adaptive deterministic k-query adversary by game-tree search over posteriors.
+adaptive deterministic k-query adversary by game-tree search over the
+permutation as read so far.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .bounds import clamp01, generalized_search_bound
 from .errors import CapabilityError, DomainError
+from .perms import PartialPermutation
 
 Z_TRIVIAL = ((),)
 
@@ -123,64 +124,40 @@ def best_k_classical(rel: Relation, k: int, budget: int = 2_000_000) -> Fraction
 
     Deterministic strategies achieve the optimum over randomized ones by
     convexity, so the game tree ranges over query choices (direction and
-    value) and final outputs only.  Posterior sets of consistent permutations
-    are memoized.  Raises CapabilityError past the node budget, carrying the
-    zero-query value as a lower bound.
+    value) and final outputs only.  A node is the permutation as read so far,
+    a :class:`PartialPermutation` (the posterior is uniform over its
+    completions): a query goes on to each of its forks, and a stop scores
+    each output by its share of the completions.  Nodes are memoized.
+    Raises CapabilityError past the node budget, naming the budget and the
+    nodes visited and carrying the zero-query value as a lower bound.
     """
-    n = rel.n
-    if n > 6:
-        raise CapabilityError(f"strategy enumeration over {n}! = {math.factorial(n)} "
-                              "permutations exceeds the ceiling n <= 6")
-    perms = list(itertools.permutations(range(n)))
-    outputs = list(itertools.permutations(range(n), rel.k))
+    unit = Fraction(1)
+    outputs = list(itertools.permutations(range(rel.n), rel.k))
     nodes = 0
     memo: dict = {}
 
-    def stop_value(alive: tuple[int, ...]) -> Fraction:
-        best = 0
-        for xs in outputs:
-            for z in rel.zspace:
-                hits = sum(
-                    1 for i in alive
-                    if rel.wins(xs, tuple(perms[i][x] for x in xs), z)
-                )
-                if hits > best:
-                    best = hits
-        return Fraction(best, len(alive))
+    def stop_value(read: PartialPermutation) -> Fraction:
+        return max(sum(weight for ys, weight in read.completions(xs, unit) if rel.wins(xs, ys, z))
+                   for xs in outputs for z in rel.zspace)
 
-    def value(alive: tuple[int, ...], left: int) -> Fraction:
+    def value(read: PartialPermutation, left: int) -> Fraction:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise CapabilityError(
-                "game-tree search exceeded its node budget",
-                partial_lower_bound=stop_value(tuple(range(len(perms)))),
+                f"game-tree search visited {nodes} nodes, past its node budget {budget}",
+                partial_lower_bound=stop_value(PartialPermutation(rel.n)),
             )
-        key = (alive, left)
-        if key in memo:
-            return memo[key]
-        if left == 0:
-            out = stop_value(alive)
-        else:
-            out = Fraction(0)
-            for direction in ("fwd", "bwd"):
-                for v in range(n):
-                    groups: dict[int, list[int]] = {}
-                    for i in alive:
-                        ans = perms[i][v] if direction == "fwd" else perms[i].index(v)
-                        groups.setdefault(ans, []).append(i)
-                    total = Fraction(0)
-                    for members in groups.values():
-                        total += Fraction(len(members), len(alive)) * value(
-                            tuple(members), left - 1
-                        )
-                    if total > out:
-                        out = total
-        memo[key] = out
-        return out
+        key = (read, left)
+        if key not in memo:
+            memo[key] = stop_value(read) if left == 0 else max(
+                sum(weight * value(extended, left - 1)
+                    for _, weight, extended in read.forks(direction, v, unit))
+                for direction in ("forward", "backward") for v in range(rel.n))
+        return memo[key]
 
     try:
-        return value(tuple(range(len(perms))), k)
+        return value(PartialPermutation(rel.n), k)
     finally:
         del value  # the recursive closure holds its own cell; the memo goes with it
 

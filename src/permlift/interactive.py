@@ -6,19 +6,23 @@ view (queries, responses, transcript) is replayable: ``ver_view`` reruns the
 program against a recorded view and rejects on any inconsistency.  The
 interactive lift treats the whole adversary/challenger interaction as the
 simulated algorithm, with the challenger's queries answered by the external
-oracle and the adversary's by the simulator's stateful one.
+oracle and the adversary's by the simulator's stateful one; the lifted side
+reads the external permutation lazily, as a ``perms.PartialPermutation``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import ProtocolError
 from .games import Relation
-from .lifting import LiftReport, adversary_runners, case_blocks, exact_mean, quantum_factor
-from .perms import all_permutations
+from .lifting import (LiftReport, adversary_runners, case_blocks, exact_mean, lazy_leaves,
+                      quantum_factor)
+from .perms import PartialPermutation, all_permutations
 
 
 class Challenger:
@@ -229,17 +233,37 @@ class OneShotAdversary:
 
 def real_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
                         n: int) -> float:
-    """Exact Pr[adversary wins], averaged over instances and permutations."""
+    """Exact Pr[adversary wins], averaged over instances and permutations.
 
-    def outcomes(shared, oracles):
-        target, ch = shared
-        return adversary_runners(adv.circuit_for(challenge_messages(ch, target))).run(oracles)
-
-    blocks = (((target, ch), [target])
-              for target, ch in itertools.product(all_permutations(n), instances))
-    total, count = exact_mean(blocks, outcomes, lambda shared, outcome:
-                              run_game(shared[1], shared[0], [outcome[:2]])[0])
+    The targets that give an instance the same challenge run as blocks of
+    one circuit, as the plain side of quantum lifting runs its targets.
+    """
+    total = count = 0
+    for ch in instances:
+        by_challenge: dict = {}
+        for target in all_permutations(n):
+            by_challenge.setdefault(challenge_messages(ch, target), []).append(target)
+        for messages, targets in by_challenge.items():
+            runners = adversary_runners(adv.circuit_for(messages))
+            wins, cases = exact_mean(case_blocks(ch, targets, runners.size),
+                                     lambda _, oracles: runners.run(oracles),
+                                     lambda ch, outcome: run_game(ch, outcome[2], [outcome[:2]])[0])
+            total += wins
+            count += cases
     return total / count
+
+
+def _accepted(ch: Challenger, outcome) -> Fraction:
+    """The share of the completions of the outcome's target, as its run read
+    it, against which the game on the reply (xs, z) yields a view that
+    ver_view accepts, with the responses re-read from the target."""
+
+    def verified(target) -> bool:
+        _, view = run_game(ch, target, [outcome[:2]])
+        return ver_view(ch, View(view.xs, tuple(target.forward(x) for x in view.xs),
+                                 view.transcript))
+
+    return sum(weight for ok, weight, _ in lazy_leaves(verified, outcome[2]) if ok)
 
 
 def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary,
@@ -247,29 +271,25 @@ def lifted_game_win_exact(instances: Sequence[Challenger], adv: OneShotAdversary
     """Exact Pr[lifted algorithm wins], scored through view verification.
 
     The simulated interaction answers the challenger from the external
-    permutation and the adversary from the reprogrammed stateful oracle; the
-    final view is accepted iff ver_view accepts it, with the responses
-    re-read from the external permutation.
+    permutation and the adversary from the reprogrammed stateful oracle.
+    The external permutation is read lazily: each leaf of the challenge
+    (`lazy_leaves` of `challenge_messages`) runs its circuit's bases x
+    choices against the target as the challenger read it, and each outcome
+    is accepted with its share of `_accepted`, scored once per distinct
+    outcome.  The win is the mean over instances of the leaves' weighted
+    means, each leaf's mean over its own cases.
     """
-    perms = list(all_permutations(n))
-
-    def blocks():
-        # one walk per block of bases x choices, for each (target, instance)
-        for target in perms:
-            for ch in instances:
-                runners = adversary_runners(adv.circuit_for(challenge_messages(ch, target)))
-                yield from case_blocks((target, ch, runners),
-                                       itertools.product(perms, runners.choices(k)), runners.size)
-
-    def accept(shared, outcome):
-        target, ch, _ = shared
-        _, view = run_game(ch, target, [outcome[:2]])
-        return ver_view(ch, View(view.xs, tuple(target.forward(x) for x in view.xs),
-                                 view.transcript))
-
-    total, count = exact_mean(blocks(), lambda shared, cases: shared[2].sim(shared[0], cases),
-                              accept)
-    return total / count
+    score = functools.lru_cache(maxsize=None)(_accepted)
+    total = 0
+    for ch in instances:
+        for messages, weight, (read,) in lazy_leaves(functools.partial(challenge_messages, ch),
+                                                     PartialPermutation(n)):
+            runners = adversary_runners(adv.circuit_for(messages))
+            cases = itertools.product(runners.tables(n), runners.choices(k))
+            mean = runners.mean(*exact_mean(case_blocks(read, cases, runners.size), runners.sim,
+                                            lambda _, outcome: score(ch, outcome)))
+            total += weight * mean
+    return total / len(instances)
 
 
 def interactive_lift_exact(instances: Sequence[Challenger], adv: OneShotAdversary,

@@ -392,7 +392,8 @@ def test_c11_brute_force_ceiling():
     started = time.time()
     cases = [(relation_fixed_point(n), n) for n in (4, 5, 6)]
     cases += [(relation_double_sided_zero(1), 4)]
-    cases += [(relation_xor_shift(4), 4)]
+    cases += [(relation_xor_shift(n), n) for n in (4, 8)]
+    cases += [(relation_double_sided_zero(2), 16)]
     ok = True
     for rel, n in cases:
         opt = best_k_classical(rel, 1)

@@ -84,7 +84,7 @@ def test_trace_rejects_interactive_kind(capsys):
 @pytest.mark.parametrize("args,cost", [
     # 5 adversary leaves + 5 * (1 + 2 * 2 * 5^2) simulator leaves, at most
     (["--kind", "classical", "--n", "5", "--q", "1", "--k", "2"], 510),
-    (["--kind", "interactive", "--n", "4"], 2880),  # 24^2 * (4 * 1 + 1) runs
+    (["--kind", "interactive", "--n", "4"], 432),  # 24 * (1 + 17) runs, as quantum
 ], ids=["args0", "args1"])
 def test_verify_lifting_cost_counts_the_enumerated_choices(args, cost, monkeypatch, capsys):
     # k^2 < n in both: a vacuous verdict would price the adversary side alone
@@ -92,6 +92,19 @@ def test_verify_lifting_cost_counts_the_enumerated_choices(args, cost, monkeypat
     assert run_cli(["verify-lifting"] + args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{cost} cases" in err and f"ceiling {cost - 1}" in err
+
+
+def test_verify_lifting_interactive_n8_fits_the_ceiling(monkeypatch):
+    # 8! * (1 + 33) = 1,370,880 forked walks fit the ceiling; priced as n!^2
+    # x choices the run exited 2 at 8,128,512,000 cases.  The lift is
+    # stubbed: only the pricing runs.
+    class Holds:
+        def to_dict(self):
+            return {"holds": True}
+
+    monkeypatch.setattr(cli, "interactive_lift_exact", lambda *args: Holds())
+    assert run_cli(["verify-lifting", "--kind", "interactive", "--n", "8",
+                    "--game", "output-guess"]) == EXIT_OK
 
 
 def test_verify_lifting_classical_cost_has_the_k_exponent(monkeypatch, capsys):
@@ -364,7 +377,8 @@ def test_bound_table_rejects_an_unknown_game(game, bad, tmp_path, capsys):
 
 @pytest.mark.parametrize("call,cost,ceiling", [
     (lambda: algebra_checks.check_inverse_law(8, 1), "40320", "n <= 7"),
-    (lambda: games.best_k_classical(games.relation_fixed_point(7), 1), "5040", "n <= 6"),
+    (lambda: games.best_k_classical(games.relation_fixed_point(5), 2, budget=10),
+     "visited 11 nodes", "budget 10"),
     (lambda: games.r_max(games.relation_fixed_point(5000)), "25000000", "n <= 4096"),
     (lambda: bounds.p_max_bound(bounds.empty_hash_relation(12, 11), "k1"),
      "8388608", "ceiling 4194304"),

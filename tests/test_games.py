@@ -4,7 +4,9 @@ import gc
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from reference_tree import reference_best_k
 
 from permlift.errors import CapabilityError, DomainError
 from permlift.games import (
@@ -16,9 +18,11 @@ from permlift.games import (
     relation_double_sided_zero,
     relation_empty,
     relation_fixed_point,
+    relation_from_pairs,
     relation_output_guess,
     relation_xor_shift,
 )
+from permlift.perms import PartialPermutation
 
 
 def test_double_sided_zero_predicate():
@@ -101,8 +105,47 @@ def test_best_k_classical_budget_error():
 
 
 def test_best_k_classical_capability_scale():
-    with pytest.raises(CapabilityError):
-        best_k_classical(relation_fixed_point(7), 1)
+    # the posterior over all n! tables stopped at n = 6; the tree over the
+    # permutation as read so far reaches n = 8 at k = 2 (about 0.4 s)
+    fixed8 = relation_fixed_point(8)
+    assert [best_k_classical(fixed8, k) for k in (0, 1, 2)] == [Fraction(1, 8), Fraction(1, 4),
+                                                                  Fraction(3, 8)]
+    assert best_k_classical(relation_fixed_point(16), 1) == Fraction(1, 8)
+
+
+CROSS_CHECK = [relation_fixed_point(4), relation_fixed_point(5), relation_fixed_point(6),
+               relation_double_sided_zero(1), relation_xor_shift(4), relation_output_guess(4),
+               relation_empty(4)]
+
+
+@pytest.mark.parametrize("rel", CROSS_CHECK, ids=lambda rel: f"{rel.name}-{rel.n}")
+@pytest.mark.parametrize("queries", [0, 1, 2])
+def test_best_k_classical_matches_the_posterior_set_reference(rel, queries):
+    assert best_k_classical(rel, queries) == reference_best_k(rel, queries)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_best_k_classical_matches_the_reference_on_random_relations(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    cells = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+    rel = relation_from_pairs(f"random-{seed}", n, np.argwhere(cells).tolist())
+    for queries in (0, 1, 2):
+        assert best_k_classical(rel, queries) == reference_best_k(rel, queries)
+
+
+def test_a_wrong_fork_weight_fails_the_cross_check(monkeypatch):
+    # planted: an unread point forks with weight unit/(n - m + 1), not unit/(n - m)
+    forks = PartialPermutation.forks
+
+    def planted(self, direction, v, unit=1):
+        out = forks(self, direction, v, unit)
+        wrong = unit / (self.n - len(self.fwd) + 1)
+        return out if len(out) == 1 else tuple((w, wrong, ext) for w, _, ext in out)
+
+    monkeypatch.setattr(PartialPermutation, "forks", planted)
+    rel = relation_fixed_point(4)
+    assert best_k_classical(rel, 1) != reference_best_k(rel, 1)
 
 
 def test_union_bound_ceiling_one_query():
@@ -110,7 +153,8 @@ def test_union_bound_ceiling_one_query():
     # registered pair relation
     cases = [(relation_fixed_point(n), n) for n in (4, 5, 6)]
     cases += [(relation_double_sided_zero(1), 4)]
-    cases += [(relation_xor_shift(n), n) for n in (4,)]
+    cases += [(relation_xor_shift(n), n) for n in (4, 8)]
+    cases += [(relation_double_sided_zero(2), 16)]
     for rel, n in cases:
         opt = best_k_classical(rel, 1)
         rm = r_max(rel)

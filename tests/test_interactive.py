@@ -3,9 +3,10 @@
 import json
 
 import pytest
+from reference_interactive import reference_lifted_game_win
 
-from permlift.battery import qa_value_reporter
-from permlift.circuits import BACKWARD, CircuitBuilder
+from permlift.battery import qa_value_reporter, quantum_battery
+from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder
 from permlift.errors import ProtocolError
 from permlift.games import relation_fixed_point, relation_output_guess
 from permlift.interactive import (
@@ -23,8 +24,9 @@ from permlift.interactive import (
     run_game,
     ver_view,
 )
+from permlift import interactive
 from permlift.lifting import quantum_lift_exact
-from permlift.perms import Permutation
+from permlift.perms import PartialPermutation, Permutation
 from permlift.simulators import QuantumAdversary
 
 
@@ -128,38 +130,42 @@ def test_relation_challenger_reproduces_plain_lift():
     assert inter.holds == plain.holds
 
 
-def inverter_for_challenge(challenge):
-    """Basis circuit that inverts the challenged image with one backward query."""
+def inverter_for_challenge(challenge, idle_on_odd=False):
+    """Basis circuit that inverts the challenged image with one backward
+    query; with `idle_on_odd`, an odd challenge adds a forward slot at the
+    end that writes only the unmeasured response register."""
     y = challenge[0] if challenge else 0
     b = CircuitBuilder((("q", 4), ("r", 4)))
     if y:
         b.basis_perm("q", [v ^ y for v in range(4)])
     b.oracle(BACKWARD)
     b.swap("q", "r")
+    if idle_on_odd and y % 2:
+        b.oracle(FORWARD)
     circuit = b.build()
     return QuantumAdversary(circuit, x_regs=("q",), declared_queries=1,
                             name="inverter")
 
 
-class GuessMessageAdapter(OneShotAdversary):
-    pass
+class GuessChallenger(OneWayChallenger):
+    """One-wayness with the reply as a circuit outcome (xs, z): accepts when
+    the marked output is the sample point."""
+
+    def program(self):
+        y = yield ("query", self.sample)
+        yield ("send", y)
+        msg = yield ("recv",)
+        xs, z = msg
+        return xs[0] == self.sample
+
+
+ONE_WAY = [GuessChallenger(x) for x in range(4)]
 
 
 def test_one_way_game_exact_lift():
     adv = OneShotAdversary(circuit_for=inverter_for_challenge, queries=1,
                            name="inverter")
-
-    # message format: the challenger compares against the bare guess, so wrap
-    # the circuit outcome accordingly inside the harness relations
-    class GuessChallenger(OneWayChallenger):
-        def program(self):
-            y = yield ("query", self.sample)
-            yield ("send", y)
-            msg = yield ("recv",)
-            xs, z = msg
-            return xs[0] == self.sample
-
-    instances = [GuessChallenger(x) for x in range(4)]
+    instances = ONE_WAY
     p_real = real_game_win_exact(instances, adv, 4)
     assert p_real == pytest.approx(1.0)
     report = interactive_lift_exact(instances, adv, 4, k=1, game="one-way")
@@ -188,3 +194,49 @@ def test_factor_zero_interactive_verdict_is_vacuous_and_not_enumerated(monkeypat
                      "--game", "output-guess", "--out", str(out)]) == 0
     (result,) = json.loads(out.read_text())["results"]
     assert result["vacuous"] is True and result["p_lifted"] is None and result["factor"] == 0.0
+
+
+def mixed_slot_inverter():
+    return OneShotAdversary(circuit_for=lambda ch: inverter_for_challenge(ch, idle_on_odd=True),
+                            queries=1, name="mixed-slot-inverter")
+
+
+def test_lifted_win_is_the_mean_over_challenges_not_over_pooled_cases():
+    # an odd challenge gets a second slot and so more simulator choices; a
+    # mean pooled over all cases weighs those challenges more and read
+    # 0.39286, the mean of each (target, instance)'s own mean reads 0.40556
+    p_lifted = lifted_game_win_exact(ONE_WAY, mixed_slot_inverter(), 4, 1)
+    assert p_lifted == pytest.approx(0.40555555555555556, abs=1e-12)
+
+
+def _c7_cases():
+    """C7's relation-challenger and one-way cases, and the mixed-slot game."""
+    rel = relation_output_guess(4)
+    cases = [([RelationChallenger(rel)], OneShotAdversary(circuit_for=lambda ch, a=adv: a,
+                                                          queries=1, name=adv.name))
+             for adv in quantum_battery(4) if adv.queries == adv.circuit.num_slots == 1]
+    cases.append((ONE_WAY, OneShotAdversary(circuit_for=inverter_for_challenge, queries=1,
+                                            name="inverter")))
+    return cases + [(ONE_WAY, mixed_slot_inverter())]
+
+
+C7_CASES = _c7_cases()
+
+
+@pytest.mark.parametrize("instances, adv", C7_CASES, ids=[adv.name for _, adv in C7_CASES])
+def test_lazy_interactive_lift_matches_the_enumerated_targets(instances, adv):
+    # float sums of the same nonnegative terms in another order; they agree
+    # to ~1e-15, and 1e-12 is the slack quantum_lift_exact derives
+    assert lifted_game_win_exact(instances, adv, 4, 1) == pytest.approx(
+        reference_lifted_game_win(instances, adv, 4, 1), abs=1e-12)
+
+
+def test_a_view_scored_against_the_challengers_read_fails_the_cross_check(monkeypatch):
+    # planted: the relation challenger reads nothing before its challenge, so
+    # scoring against its read target ignores what the simulator read
+    accepted = interactive._accepted
+    monkeypatch.setattr(interactive, "_accepted", lambda ch, outcome: accepted(
+        ch, outcome[:2] + (PartialPermutation(4),)))
+    instances, adv = next(case for case in C7_CASES if case[1].name == "q-value-reporter")
+    assert abs(lifted_game_win_exact(instances, adv, 4, 1)
+               - reference_lifted_game_win(instances, adv, 4, 1)) > 0.1
