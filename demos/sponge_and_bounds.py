@@ -22,11 +22,9 @@ from permlift.bounds import (
     sponge_lift_bound,
     sponge_preimage_bound,
 )
-from permlift.ciphers import Cipher
-from permlift.perms import Permutation
+from permlift.perms import Cipher, CountingOracle, Permutation
 from permlift.sponge import (
     DAVIES_MEYER_SELECTOR,
-    CountingPermutation,
     all_pgv_selectors,
     davies_meyer,
     pgv,
@@ -37,7 +35,7 @@ from permlift.sponge import (
 print("== Sponge trace (rate 2, capacity 2, 3-bit message, 2-bit digest) ==")
 params = SpongeParams(2, 2, 3, 2)
 perm = Permutation([(5 * i + 3) % 16 for i in range(16)])
-counter = CountingPermutation(perm)
+counter = CountingOracle(perm)
 digest = sponge(params, counter, 0b101)
 print(f"  absorb blocks {params.absorb_blocks}, squeeze blocks "
       f"{params.squeeze_blocks}, calls {counter.calls} (= {params.calls})")

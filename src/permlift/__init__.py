@@ -14,14 +14,6 @@ from .bounds import (
     sponge_oneway_bound,
     sponge_preimage_bound,
 )
-from .ciphers import (
-    Cipher,
-    cipher_bad_probability_bound,
-    cipher_hit_miss_queries,
-    cipher_is_good,
-    cipher_is_good_pair,
-    cipher_reprogram,
-)
 from .circuits import (
     CircuitBuilder,
     CombinedCircuit,
@@ -43,9 +35,11 @@ from .games import (
     relation_fixed_point,
 )
 from .perms import (
+    Cipher,
     HitMiss,
     PartialPermutation,
     Permutation,
+    all_ciphers,
     all_permutations,
     bad_probability_bound,
     hit_miss_queries,

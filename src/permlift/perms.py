@@ -1,9 +1,17 @@
-"""Permutations on {0..n-1} with explicit tables and a reprogramming algebra.
+"""Permutations and ciphers on {0..n-1} with explicit tables and one
+reprogramming algebra for both.
 
 The reprogramming edit ``pi[x -> y]`` forces ``pi(x) = y`` while keeping the
 table a bijection: the old preimage of ``y`` is rerouted to the displaced
 value ``pi(x)``.  Sequential edits fold left to right.  Everything here is
 exact and immutable; domains are small enough to enumerate outright.
+
+A cipher is a family of permutations indexed by a key, and a permutation is
+the one-key cipher without a key.  An edit is ``(x, y)`` for a permutation
+and ``(key, x, y)`` for a cipher, which edits the key's component only; a
+marked input is ``x`` or ``(key, x)``.  The key is part of an edit's x and of
+its y, so edits under different keys never clash, except in the target rule
+of goodness, which compares values across keys.
 
 Bitstring convention used package-wide: a string ``s_1 s_2 ... s_m`` is the
 integer ``sum(s_i * 2**(i-1))``, i.e. the first (leftmost) bit is the least
@@ -26,10 +34,15 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, PreconditionError
 
-Pair = tuple[int, int]
+#: An edit: (x, y) for a permutation, (key, x, y) for a cipher.
+Edit = tuple[int, ...]
+#: A marked input: x for a permutation, (key, x) for a cipher.
+Point = int | tuple[int, int]
 
 #: Largest n for which full n! enumeration is permitted by default.
 ENUMERATION_CEILING = 8
+#: Most ciphers :func:`all_ciphers` enumerates: two keys at n = ENUMERATION_CEILING.
+CIPHER_CEILING = math.factorial(ENUMERATION_CEILING) ** 2
 #: Stack rows per block where a batch is split to bound its memory.
 BLOCK_ROWS = 2048
 
@@ -79,7 +92,7 @@ class Permutation:
     def reprogram(self, x: int, y: int) -> "Permutation":
         return reprogram(self, x, y)
 
-    def reprogram_seq(self, pairs: Iterable[Pair]) -> "Permutation":
+    def reprogram_seq(self, pairs: Iterable[Edit]) -> "Permutation":
         return reprogram_seq(self, pairs)
 
     def __eq__(self, other):
@@ -223,6 +236,95 @@ class LazyEdit(namedtuple("LazyEdit", "inner x y")):
     reprogram = PartialPermutation.reprogram
 
 
+class Cipher:
+    """A family of permutations on {0..n-1} indexed by keys 0..key_count-1,
+    read and edited as ``forward(key, x)`` and ``reprogram(key, x, y)``."""
+
+    __slots__ = ("perms",)
+
+    def __init__(self, perms: Sequence[Permutation]):
+        perms = tuple(perms)
+        if not perms:
+            raise DomainError("cipher needs at least one key component")
+        if any(p.n != perms[0].n for p in perms):
+            raise DomainError("all key components must share one block domain")
+        self.perms = perms
+
+    @property
+    def key_count(self) -> int:
+        return len(self.perms)
+
+    @property
+    def n(self) -> int:
+        return self.perms[0].n
+
+    def component(self, key: int) -> Permutation:
+        if not 0 <= key < len(self.perms):
+            raise DomainError(f"key {key} outside 0..{len(self.perms) - 1}")
+        return self.perms[key]
+
+    def forward(self, key: int, x: int) -> int:
+        return self.component(key).forward(x)
+
+    def backward(self, key: int, y: int) -> int:
+        return self.component(key).backward(y)
+
+    def reprogram(self, key: int, x: int, y: int) -> "Cipher":
+        """Component `key` edited to map x to y; every other key is untouched."""
+        edited = self.component(key).reprogram(x, y)
+        return Cipher(self.perms[:key] + (edited,) + self.perms[key + 1:])
+
+    def __eq__(self, other):
+        return isinstance(other, Cipher) and self.perms == other.perms
+
+    def __hash__(self):
+        return hash(self.perms)
+
+    def __repr__(self):
+        return f"Cipher(keys={self.key_count}, n={self.n})"
+
+    def to_json(self) -> dict:
+        return {"key_count": self.key_count, "n": self.n,
+                "perms": [list(p.fwd) for p in self.perms]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Cipher":
+        if set(obj) != {"key_count", "n", "perms"}:
+            raise DomainError(f"bad cipher record: {obj!r}")
+        if obj["key_count"] != len(obj["perms"]) or any(len(t) != obj["n"] for t in obj["perms"]):
+            raise DomainError("cipher record dimensions are inconsistent")
+        return cls([Permutation(t) for t in obj["perms"]])
+
+    @classmethod
+    def identity(cls, key_count: int, n: int) -> "Cipher":
+        return cls([Permutation.identity(n)] * key_count)
+
+    @classmethod
+    def random(cls, key_count: int, n: int, rng) -> "Cipher":
+        """Uniform ideal-cipher sample: an independent uniform permutation per key."""
+        return cls([Permutation.random(n, rng) for _ in range(key_count)])
+
+
+class CountingOracle:
+    """Wraps a permutation or cipher and counts its forward and backward reads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
+
+    def forward(self, *point: int) -> int:
+        self.calls += 1
+        return self.inner.forward(*point)
+
+    def backward(self, *point: int) -> int:
+        self.calls += 1
+        return self.inner.backward(*point)
+
+
 class PermutationStack:
     """The oracles of a batch of trials as numpy tables, one row per trial.
 
@@ -306,45 +408,60 @@ def reprogram(pi: Permutation, x: int, y: int) -> Permutation:
     return Permutation(table)
 
 
-def reprogram_seq(pi: Permutation, pairs: Iterable[Pair]) -> Permutation:
-    """Left-to-right fold of single reprogramming edits."""
-    out = pi
-    for x, y in pairs:
-        out = reprogram(out, x, y)
+def reprogram_seq(oracle, edits: Iterable[Edit]):
+    """Left-to-right fold of single reprogramming edits of a permutation or
+    a cipher."""
+    out = oracle
+    for edit in edits:
+        out = out.reprogram(*edit)
     return out
 
 
-def is_disjoint(pairs: Sequence[Pair]) -> bool:
-    """True iff no x entry repeats and no y entry repeats across the pairs."""
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
+def is_disjoint(edits: Sequence[Edit]) -> bool:
+    """True iff no two edits share an x or a y under one key (the x entry of
+    (key, x, y) is (key, x), its y entry (key, y))."""
+    sources = {edit[:-1] for edit in edits}
+    images = {edit[:-2] + edit[-1:] for edit in edits}
+    return len(sources) == len(images) == len(edits)
 
 
-def is_good_tuple(pi: Permutation, pairs: Sequence[Pair]) -> bool:
-    """Disjoint pairs whose targets never collide with pi on the sources.
+def is_good_tuple(oracle, edits: Sequence[Edit]) -> bool:
+    """Disjoint edits whose targets never collide with the oracle on the sources.
 
-    Requires, beyond disjointness, that pi(x_i) != y_j for every i, j.  Good
-    tuples reprogram order-independently and collision-free.
+    Requires, beyond disjointness, that oracle(x_i) != y_j for every i, j,
+    with x_i read under its own key and y_j compared across keys.  Good tuples
+    reprogram order-independently and collision-free.
     """
-    for x, y in pairs:
-        if not (0 <= x < pi.n and 0 <= y < pi.n):
-            raise DomainError(f"pair ({x}, {y}) outside domain 0..{pi.n - 1}")
-    if not is_disjoint(pairs):
-        return False
-    targets = {y for _, y in pairs}
-    return all(pi.fwd[x] not in targets for x, _ in pairs)
+    images = [oracle.forward(*edit[:-1]) for edit in edits]
+    for edit in edits:
+        if not 0 <= edit[-1] < oracle.n:
+            raise DomainError(f"edit {edit} outside domain 0..{oracle.n - 1}")
+    return is_disjoint(edits) and _misses_targets(images, [edit[-1] for edit in edits])
 
 
-def is_good_pair(base: Permutation, target: Permutation, xs: Sequence[int]) -> bool:
-    """Whether (base, target) is a good pair for the marked inputs xs.
+def _misses_targets(images: Sequence[int], ys: Sequence[int]) -> bool:
+    """The target rule of goodness: no image of a source is any edit's target."""
+    return not set(ys).intersection(images)
 
-    The induced pairs are (x_j, target(x_j)); membership reduces to
-    :func:`is_good_tuple` against ``base``.  xs must be duplicate-free.
-    """
+
+def _marked_points(xs: Sequence[Point]) -> list:
+    """The distinct marked inputs as query points, (x,) or (key, x)."""
     if len(set(xs)) != len(xs):
         raise PreconditionError(f"marked inputs must be distinct, got {list(xs)}")
-    return is_good_tuple(base, [(x, target.forward(x)) for x in xs])
+    return [x if isinstance(x, tuple) else (x,) for x in xs]
+
+
+def is_good_pair(base, target, xs: Sequence[Point]) -> bool:
+    """Whether (base, target) is a good pair for the marked inputs xs.
+
+    The induced edits (x_j, target(x_j)), under x_j's key for a cipher, are
+    disjoint because the marked inputs are, so goodness reduces to the
+    target rule of :func:`is_good_tuple`: base(x_i) != target(x_j) for all
+    i, j.  xs must be duplicate-free.
+    """
+    points = _marked_points(xs)
+    return _misses_targets([base.forward(*p) for p in points],
+                           [target.forward(*p) for p in points])
 
 
 def good_pair_mask(base_vals: np.ndarray, target_vals: np.ndarray) -> np.ndarray:
@@ -361,33 +478,40 @@ class HitMiss:
 
     For index j: ``x_hit = x_j`` and ``y_hit = target(x_j)`` name the pair
     directly, while ``x_miss = base^-1(y_hit)`` and ``y_miss = base(x_j)``
-    are the points whose image under the reprogrammed table changes.
+    are the points whose image under the reprogrammed table changes.  For a
+    cipher all four are read under ``keys[j]``, the key never changes between
+    hit and miss, and ``keys`` is empty for a permutation.
     """
 
     x_hit: tuple[int, ...]
     x_miss: tuple[int, ...]
     y_hit: tuple[int, ...]
     y_miss: tuple[int, ...]
+    keys: tuple[int, ...] = ()
 
     def __len__(self):
         return len(self.x_hit)
 
 
-def hit_miss_queries(base: Permutation, target: Permutation, xs: Sequence[int]) -> HitMiss:
+def hit_miss_queries(base, target, xs: Sequence[Point]) -> HitMiss:
     """Hit/miss values for each marked input; requires a good pair."""
-    if not is_good_pair(base, target, xs):
+    points = _marked_points(xs)
+    y_hit = tuple([target.forward(*p) for p in points])
+    y_miss = tuple([base.forward(*p) for p in points])
+    if not _misses_targets(y_miss, y_hit):
         raise PreconditionError("(base, target) is not a good pair for these inputs")
-    y_hit = tuple(target.forward(x) for x in xs)
     return HitMiss(
-        x_hit=tuple(xs),
-        x_miss=tuple(base.backward(y) for y in y_hit),
+        x_hit=tuple([p[-1] for p in points]),
+        x_miss=tuple([base.backward(*p[:-1], y) for p, y in zip(points, y_hit)]),
         y_hit=y_hit,
-        y_miss=tuple(base.forward(x) for x in xs),
+        y_miss=y_miss,
+        keys=tuple([p[0] for p in points if len(p) == 2]),
     )
 
 
 def bad_probability_bound(k: int, n: int) -> Fraction:
-    """Upper bound k^2/n on the chance a uniform target breaks goodness."""
+    """Upper bound k^2/n on the chance a uniform target breaks goodness; the
+    same for ciphers, whose keys only help."""
     if k < 1 or n < 1:
         raise DomainError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     return Fraction(k * k, n)
@@ -396,20 +520,32 @@ def bad_probability_bound(k: int, n: int) -> Fraction:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic table order."""
     if n > ENUMERATION_CEILING:
-        raise CapabilityError(f"{n}! enumeration exceeds ceiling n <= {ENUMERATION_CEILING}")
+        raise CapabilityError(f"{n}! = {math.factorial(n)} permutations exceed the "
+                              f"enumeration ceiling n <= {ENUMERATION_CEILING}")
     for tab in itertools.permutations(range(n)):
         yield Permutation(tab)
+
+
+def all_ciphers(key_count: int, n: int) -> Iterator[Cipher]:
+    """All (n!)^key_count ciphers, per-key lexicographic order."""
+    count = math.factorial(n) ** key_count
+    if count > CIPHER_CEILING:
+        raise CapabilityError(f"({n}!)^{key_count} = {count} ciphers exceed the enumeration "
+                              f"ceiling ({ENUMERATION_CEILING}!)^2 = {CIPHER_CEILING}")
+    return map(Cipher, itertools.product(list(all_permutations(n)), repeat=key_count))
 
 
 def permutation_count(n: int) -> int:
     return math.factorial(n)
 
 
-def bad_fraction(base: Permutation, xs: Sequence[int]) -> Fraction:
-    """Exact fraction of targets that fail goodness, by full enumeration."""
-    n = base.n
-    bad = sum(1 for t in all_permutations(n) if not is_good_pair(base, t, xs))
-    return Fraction(bad, permutation_count(n))
+def bad_fraction(base, xs: Sequence[Point]) -> Fraction:
+    """Exact fraction of the targets of base's shape (every permutation, or
+    every cipher with its key count) that fail goodness, by full enumeration."""
+    targets = (all_ciphers(base.key_count, base.n) if isinstance(base, Cipher)
+               else all_permutations(base.n))
+    bad = [not is_good_pair(base, target, xs) for target in targets]
+    return Fraction(sum(bad), len(bad))
 
 
 def bad_fraction_sampled(base: Permutation, xs: Sequence[int], trials: int, rng):
@@ -428,11 +564,14 @@ def bad_fraction_sampled(base: Permutation, xs: Sequence[int], trials: int, rng)
     return phat, sigma
 
 
-def save_permutation(pi: Permutation, path) -> None:
+def save_oracle(oracle, path) -> None:
+    """Write a permutation's or a cipher's JSON record."""
     with open(path, "w") as fh:
-        json.dump(pi.to_json(), fh)
+        json.dump(oracle.to_json(), fh)
 
 
-def load_permutation(path) -> Permutation:
+def load_oracle(path):
+    """Read a record :func:`save_oracle` wrote: a cipher's has "perms"."""
     with open(path) as fh:
-        return Permutation.from_json(json.load(fh))
+        obj = json.load(fh)
+    return (Cipher if "perms" in obj else Permutation).from_json(obj)

@@ -16,9 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ciphers import Cipher
 from .errors import DomainError, PreconditionError
-from .perms import Permutation
+from .perms import Cipher, Permutation, PermutationStack
 
 STATE_TOL = 1e-10
 #: Probabilities at or below this are rounding noise, which the exact walk
@@ -158,17 +157,16 @@ def apply_oracle(state: StateVector, oracle, direction: str = "forward",
     for a Cipher through the ``key`` register.  backward uses inverse tables.
 
     A permutation is the one-key cipher without a key register: both are a
-    `gather` from a table stack, indexed by nothing or by the key."""
+    `gather` from the oracle's `PermutationStack` row, the walk's tables,
+    indexed by nothing or by the key."""
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown oracle direction {direction!r}")
     require_oracle_key(oracle, key)
-    if key is None:
-        return gather(state, np.asarray(oracle.fwd if direction == "forward" else oracle.inv),
-                      (), query, response)
-    if state.regs.dim(key) != oracle.key_count:
+    if key is not None and state.regs.dim(key) != oracle.key_count:
         raise DomainError("key register dimension must match the cipher key count")
-    tables = np.array([p.fwd if direction == "forward" else p.inv for p in oracle.perms])
-    return gather(state, tables, (key,), query, response)
+    stack = PermutationStack.of([oracle])
+    tables = stack.fwd if direction == "forward" else stack.inv
+    return gather(state, tables[0], () if key is None else (key,), query, response)
 
 
 def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],

@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ciphers import Cipher
 from .circuits import BACKWARD, FORWARD, NormalFormCircuit, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
-from .perms import PartialPermutation, Permutation, PermutationStack, hit_miss_queries
+from .perms import (Cipher, CountingOracle, PartialPermutation, Permutation, PermutationStack,
+                    hit_miss_queries)
 from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, batch_rows, batch_state,
                    branch_rows, gather, measure_distribution, project_rows, require_oracle_key,
                    sample_rows, zero_state)
@@ -696,22 +696,6 @@ def decomposition_residual(adv: QuantumAdversary, base: Permutation,
 # Lifted adversary
 
 
-class _CountingOracle:
-    """Wraps the external oracle and counts how often it is consulted."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def forward(self, x):
-        self.calls += 1
-        return self.inner.forward(x)
-
-    def backward(self, y):
-        self.calls += 1
-        return self.inner.backward(y)
-
-
 class LiftedAdversary(ClassicalAdversary):
     """The k-classical-query algorithm built from a many-query adversary.
 
@@ -738,7 +722,7 @@ class LiftedAdversary(ClassicalAdversary):
             xs, z = self.run_batch(PermutationStack.of([oracle]), rng)
             self.last_external_calls = int(self.last_external_calls[0])
             return tuple(xs[0].tolist()), tuple(z[0].tolist())
-        counter = _CountingOracle(oracle)
+        counter = CountingOracle(oracle)
         base = Permutation.random(self.domain, rng)
         choice = sample_sim_choice(self.inner.budget, self.k, False, rng)
         out = run_classical_sim(self.inner, base, counter, choice, rng=rng)

@@ -14,29 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import SpongeParams
-from .ciphers import Cipher
 from .errors import DomainError
-from .perms import Permutation
-
-
-class CountingPermutation:
-    """Wraps a permutation and counts forward/backward applications."""
-
-    def __init__(self, inner: Permutation):
-        self.inner = inner
-        self.calls = 0
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    def forward(self, x: int) -> int:
-        self.calls += 1
-        return self.inner.forward(x)
-
-    def backward(self, y: int) -> int:
-        self.calls += 1
-        return self.inner.backward(y)
+from .perms import Cipher, CountingOracle, Permutation
 
 
 def sponge(params: SpongeParams, perm, message: int) -> int:
@@ -67,7 +46,7 @@ def sponge(params: SpongeParams, perm, message: int) -> int:
 
 
 def sponge_call_count(params: SpongeParams, perm: Permutation, message: int) -> int:
-    counter = CountingPermutation(perm)
+    counter = CountingOracle(perm)
     sponge(params, counter, message)
     return counter.calls
 
@@ -101,7 +80,7 @@ def sponge_search_stats(params: SpongeParams, samples: int, seed: int,
 
 
 def sponge_vector(params: SpongeParams, perm: Permutation, message: int) -> dict:
-    counter = CountingPermutation(perm)
+    counter = CountingOracle(perm)
     digest = sponge(params, counter, message)
     return {
         "rate": params.rate, "capacity": params.capacity,
@@ -114,7 +93,7 @@ def sponge_vector(params: SpongeParams, perm: Permutation, message: int) -> dict
 def check_vector(vec: dict) -> bool:
     params = SpongeParams(vec["rate"], vec["capacity"], vec["in_bits"], vec["out_bits"])
     perm = Permutation(vec["perm"])
-    counter = CountingPermutation(perm)
+    counter = CountingOracle(perm)
     return (sponge(params, counter, vec["message"]) == vec["digest"]
             and counter.calls == vec["calls"])
 

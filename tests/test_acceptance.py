@@ -35,7 +35,6 @@ from permlift.bounds import (
     sponge_oneway_bound,
     sponge_preimage_bound,
 )
-from permlift.ciphers import Cipher
 from permlift.cli import bound_table_rows
 from permlift.games import (
     best_k_classical,
@@ -60,6 +59,7 @@ from permlift.lifting import (
     quantum_lift_monte_carlo,
 )
 from permlift.perms import (
+    Cipher,
     Permutation,
     all_permutations,
     bad_fraction_sampled,

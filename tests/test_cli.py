@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permlift import algebra_checks, bounds, cli, games
+from permlift import algebra_checks, bounds, cli, games, perms
 from permlift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -384,6 +384,8 @@ def test_bound_table_rejects_an_unknown_game(game, bad, tmp_path, capsys):
      "8388608", "ceiling 4194304"),
     (lambda: bounds.p_max_bound(bounds.multi_collision_relation(2, 9, 2), "output_only"),
      "262144", "ceiling 65536"),
+    (lambda: next(perms.all_permutations(9)), "362880", "n <= 8"),
+    (lambda: perms.all_ciphers(3, 7), "128024064000", "(8!)^2 = 1625702400"),
 ])
 def test_ceiling_errors_name_the_ceiling_and_the_cost(call, cost, ceiling):
     with pytest.raises(CapabilityError) as err:

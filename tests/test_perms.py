@@ -25,10 +25,10 @@ from permlift.perms import (
     is_disjoint,
     is_good_pair,
     is_good_tuple,
-    load_permutation,
+    load_oracle,
     reprogram,
     reprogram_seq,
-    save_permutation,
+    save_oracle,
 )
 
 perm_strategy = st.integers(2, 8).flatmap(
@@ -170,8 +170,8 @@ def test_enumeration_is_lexicographic_and_guarded():
 def test_json_round_trip(tmp_path):
     pi = Permutation([2, 0, 3, 1])
     path = tmp_path / "perm.json"
-    save_permutation(pi, path)
-    loaded = load_permutation(path)
+    save_oracle(pi, path)
+    loaded = load_oracle(path)
     assert loaded == pi and loaded.inv == pi.inv
 
 
@@ -179,7 +179,7 @@ def test_json_rejects_non_bijections(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3, "fwd": [0, 0, 2]}')
     with pytest.raises(DomainError):
-        load_permutation(path)
+        load_oracle(path)
 
 
 @given(st.integers(1, 6), st.data())

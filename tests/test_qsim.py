@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permlift.errors import DomainError
-from permlift.perms import Permutation, all_permutations
+from permlift.perms import Cipher, Permutation, all_permutations
 from permlift.qsim import (
     BasisMap,
     DiagonalPhase,
@@ -27,7 +27,6 @@ from permlift.qsim import (
     Unitary,
     zero_state,
 )
-from permlift.ciphers import Cipher
 
 
 def regs(n, extra=()):

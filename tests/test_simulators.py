@@ -16,10 +16,9 @@ from permlift.battery import (
     qa_value_reporter,
 )
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, run_circuit
-from permlift.ciphers import Cipher
 from permlift.errors import DomainError, PreconditionError, ProtocolError
-from permlift.perms import (Permutation, PermutationStack, all_permutations, hit_miss_queries,
-                            is_good_pair)
+from permlift.perms import (Cipher, Permutation, PermutationStack, all_permutations,
+                            hit_miss_queries, is_good_pair)
 from permlift import simulators
 from permlift.qsim import measure_distribution
 from permlift.simulators import (

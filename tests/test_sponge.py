@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from permlift.bounds import SpongeParams
-from permlift.ciphers import Cipher
 from permlift.errors import DomainError
-from permlift.perms import Permutation
+from permlift.perms import Cipher, Permutation
 from permlift.sponge import (
     DAVIES_MEYER_SELECTOR,
-    CountingPermutation,
     PgvSelector,
     all_pgv_selectors,
     check_vector,
