@@ -9,6 +9,7 @@ exactly two slots per original query.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -72,6 +73,20 @@ class NormalFormCircuit:
     @property
     def num_slots(self) -> int:
         return len(self.slot_tags)
+
+    @functools.cached_property
+    def start(self) -> np.ndarray:
+        """The amplitudes after the first unitary, computed on first use and
+        read-only, so no run that starts from them can write into them."""
+        amps = np.array(self.unitaries[0].apply(zero_state(self.regs)).amps, order="C")
+        amps.flags.writeable = False
+        return amps
+
+    @functools.cached_property
+    def decomposition_plans(self) -> dict:
+        """`simulators.decompose_state`'s plan for this circuit, one per k,
+        each built on first use."""
+        return {}
 
     def query_registers(self) -> tuple[str, ...]:
         """Registers measured when a slot's query is measured."""

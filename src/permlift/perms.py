@@ -439,16 +439,27 @@ def is_good_tuple(oracle, edits: Sequence[Edit]) -> bool:
     return is_disjoint(edits) and _misses_targets(images, [edit[-1] for edit in edits])
 
 
-def _misses_targets(images: Sequence[int], ys: Sequence[int]) -> bool:
+def _misses_targets(images: Iterable[int], ys: Iterable[int]) -> bool:
     """The target rule of goodness: no image of a source is any edit's target."""
     return not set(ys).intersection(images)
 
 
-def _marked_points(xs: Sequence[Point]) -> list:
-    """The distinct marked inputs as query points, (x,) or (key, x)."""
+def _plain_marks(xs: Sequence[Point]) -> bool:
+    """Whether the marked inputs are all plain x's, none a (key, x); they
+    must be distinct."""
     if len(set(xs)) != len(xs):
         raise PreconditionError(f"marked inputs must be distinct, got {list(xs)}")
-    return [x if isinstance(x, tuple) else (x,) for x in xs]
+    for x in xs:
+        if isinstance(x, tuple):
+            return False
+    return True
+
+
+def _read_marked(oracle, xs: Sequence[Point], plain: bool) -> Iterable[int]:
+    """The oracle's value at each marked input: pi(x), or E_key(x) at (key, x)."""
+    if plain:
+        return map(oracle.forward, xs)
+    return [oracle.forward(*x) if isinstance(x, tuple) else oracle.forward(x) for x in xs]
 
 
 def is_good_pair(base, target, xs: Sequence[Point]) -> bool:
@@ -459,9 +470,8 @@ def is_good_pair(base, target, xs: Sequence[Point]) -> bool:
     target rule of :func:`is_good_tuple`: base(x_i) != target(x_j) for all
     i, j.  xs must be duplicate-free.
     """
-    points = _marked_points(xs)
-    return _misses_targets([base.forward(*p) for p in points],
-                           [target.forward(*p) for p in points])
+    plain = _plain_marks(xs)
+    return _misses_targets(_read_marked(base, xs, plain), _read_marked(target, xs, plain))
 
 
 def good_pair_mask(base_vals: np.ndarray, target_vals: np.ndarray) -> np.ndarray:
@@ -495,11 +505,14 @@ class HitMiss:
 
 def hit_miss_queries(base, target, xs: Sequence[Point]) -> HitMiss:
     """Hit/miss values for each marked input; requires a good pair."""
-    points = _marked_points(xs)
-    y_hit = tuple([target.forward(*p) for p in points])
-    y_miss = tuple([base.forward(*p) for p in points])
+    plain = _plain_marks(xs)
+    y_hit = tuple(_read_marked(target, xs, plain))
+    y_miss = tuple(_read_marked(base, xs, plain))
     if not _misses_targets(y_miss, y_hit):
         raise PreconditionError("(base, target) is not a good pair for these inputs")
+    if plain:
+        return HitMiss(tuple(xs), tuple(map(base.backward, y_hit)), y_hit, y_miss)
+    points = [x if isinstance(x, tuple) else (x,) for x in xs]
     return HitMiss(
         x_hit=tuple([p[-1] for p in points]),
         x_miss=tuple([base.backward(*p[:-1], y) for p, y in zip(points, y_hit)]),

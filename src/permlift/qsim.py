@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .perms import Cipher, Permutation, PermutationStack
+from .perms import Cipher, Permutation
 
 STATE_TOL = 1e-10
 #: Probabilities at or below this are rounding noise, which the exact walk
@@ -91,6 +91,15 @@ class StateVector:
         self.regs = regs
         self.amps = amps
 
+    @classmethod
+    def wrap(cls, regs: Registers, amps: np.ndarray) -> "StateVector":
+        """A state over `amps` as given, complex128 and shaped by `regs`:
+        neither converted nor checked, for amplitudes a batch already made."""
+        state = cls.__new__(cls)
+        state.regs = regs
+        state.amps = amps
+        return state
+
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
@@ -157,16 +166,18 @@ def apply_oracle(state: StateVector, oracle, direction: str = "forward",
     for a Cipher through the ``key`` register.  backward uses inverse tables.
 
     A permutation is the one-key cipher without a key register: both are a
-    `gather` from the oracle's `PermutationStack` row, the walk's tables,
+    `gather` from the oracle's tables, one per key of a cipher's `perms`,
     indexed by nothing or by the key."""
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown oracle direction {direction!r}")
     require_oracle_key(oracle, key)
-    if key is not None and state.regs.dim(key) != oracle.key_count:
+    forward = direction == "forward"
+    if key is None:
+        return gather(state, np.array(oracle.fwd if forward else oracle.inv), (), query, response)
+    if state.regs.dim(key) != oracle.key_count:
         raise DomainError("key register dimension must match the cipher key count")
-    stack = PermutationStack.of([oracle])
-    tables = stack.fwd if direction == "forward" else stack.inv
-    return gather(state, tables[0], () if key is None else (key,), query, response)
+    tables = np.array([p.fwd if forward else p.inv for p in oracle.perms])
+    return gather(state, tables, (key,), query, response)
 
 
 def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],

@@ -624,6 +624,35 @@ def _choice_trie(num_slots: int, k: int) -> tuple:
     return choices, tuple(c.sign() for c in choices), tuple(levels)
 
 
+def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
+    """What `decompose_state` does alike for every (base, target, xs) of a
+    circuit and k, built once and kept on the circuit.
+
+    Returns (the `_choice_trie` result it was built from, the query values
+    shaped to broadcast along the query axis of a level, one step per
+    slot).  A step is the slot's direction and unitary, its trie level
+    (parent rows, fired sets, the rows that project, their index and
+    hit/miss), the level's batch registers and the shape that broadcasts the
+    projecting rows' values against the query values.  A plan built from
+    another trie result, as after `_choice_trie`'s cache is cleared, is
+    built again.
+    """
+    trie = _choice_trie(circuit.num_slots, k)
+    plan = circuit.decomposition_plans.get(k)
+    if plan is None or plan[0] is not trie:
+        ndim = 1 + len(circuit.regs.dims)
+        axis = 1 + circuit.regs.axis(circuit.query)
+        values = np.arange(circuit.regs.dims[axis - 1]).reshape(
+            [-1 if a == axis else 1 for a in range(ndim)])
+        steps = []
+        for i, (parent, fired, proj, j, miss) in enumerate(trie[2], start=1):
+            regs = Registers(((TRIAL, len(parent)),) + circuit.regs.specs())
+            steps.append((circuit.slot_tags[i - 1], circuit.unitaries[i], parent, fired, proj,
+                          j, miss, regs, (len(proj),) + (1,) * (ndim - 1)))
+        plan = circuit.decomposition_plans[k] = (trie, values, tuple(steps))
+    return plan
+
+
 def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutation,
                     xs: Sequence[int]):
     """All signed components of the reprogrammed-oracle final state.
@@ -642,33 +671,38 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     the 2^k) and one pass of the slot's unitary: at two slots and k=2, 2
     batch steps for the 58 nodes.  Each component is a view of its row in
     the last level, the same sequence of operations as a
-    `run_with_insertions` call for its choice.
+    `run_with_insertions` call for its choice.  What depends on the circuit
+    and k alone, from the state after the first unitary to each level's
+    registers, is the circuit's plan (`_decomposition_plan`), built once.
     """
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)
-    k = len(xs)
-    partials = [base]  # indexed by the fired set's bit mask
-    for j in range(k):
-        partials += [p.reprogram(hm.x_hit[j], hm.y_hit[j]) for p in partials]
-    tables = {FORWARD: np.array([p.fwd for p in partials]),
-              BACKWARD: np.array([p.inv for p in partials])}
+    (choices, signs, _), values, steps = _decomposition_plan(circuit, len(xs))
+    # the 2^k partial tables, indexed by the fired set's bit mask: each table
+    # so far edited by each hit pair in turn, as `reprogram` edits it
+    fwd, inv = [base.fwd], [base.inv]
+    for x, y in zip(hm.x_hit, hm.y_hit):
+        for m in range(len(fwd)):
+            f, i = list(fwd[m]), list(inv[m])
+            pre, old = i[y], f[x]
+            f[pre], i[old] = old, pre
+            f[x], i[y] = y, x
+            fwd.append(f)
+            inv.append(i)
+    tables = {FORWARD: np.array(fwd), BACKWARD: np.array(inv)}
     points = {FORWARD: np.array([hm.x_hit, hm.x_miss]), BACKWARD: np.array([hm.y_hit, hm.y_miss])}
-    choices, signs, levels = _choice_trie(circuit.num_slots, k)
-    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), 1)
-    axis = 1 + circuit.regs.axis(circuit.query)
-    for i, (parent, fired, proj, j, miss) in enumerate(levels, start=1):
-        tag, amps = circuit.slot_tags[i - 1], state.amps[parent]
+    amps = circuit.start[None]
+    for tag, unitary, parent, fired, proj, j, miss, regs, shape in steps:
+        amps = amps[parent]
         # only guessed rows get a Projector's mask: a factor 1 can turn -0.0 to 0.0
-        keep = points[tag][miss, j][:, None] == np.arange(amps.shape[axis])
-        shape = [len(proj)] + [1] * (amps.ndim - 1)
-        shape[axis] = -1
-        amps[proj] *= keep.reshape(shape)
-        regs = Registers(((TRIAL, len(parent)),) + circuit.regs.specs())
-        state = circuit.unitaries[i].apply(gather(StateVector(regs, amps), tables[tag][fired],
-                                                  (TRIAL,), circuit.query, circuit.response))
-    return [(choice, sign, StateVector(circuit.regs, amps))
-            for choice, sign, amps in zip(choices, signs, state.amps)]
+        amps[proj] *= points[tag][miss, j].reshape(shape) == values
+        amps = unitary.apply(gather(StateVector.wrap(regs, amps), tables[tag][fired],
+                                    (TRIAL,), circuit.query, circuit.response)).amps
+    if not steps:
+        amps = amps.copy()  # the plain run's only state is the circuit's read-only start
+    return [(choice, sign, StateVector.wrap(circuit.regs, row))
+            for choice, sign, row in zip(choices, signs, amps)]
 
 
 #: A `decomposition_residual` at or above this is a wrong decomposition: the

@@ -15,7 +15,7 @@ from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sample
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, Projector, run_circuit, run_with_insertions
 from permlift.errors import PreconditionError
 from permlift.perms import Permutation, all_permutations, hit_miss_queries, is_good_pair
-from permlift.qsim import controlled_xor_gate, superposition_gate
+from permlift.qsim import controlled_xor_gate, dense_matrix, is_unitary_matrix, superposition_gate
 from permlift.simulators import (
     HIT,
     QuantumAdversary,
@@ -57,6 +57,8 @@ def test_all_bottom_component_is_plain_run():
     comps = decompose_state(adv, base, target, (1,))
     bottom = [s for c, sign, s in comps if c.slots == (None,)]
     assert len(bottom) == 1
+    # the same gates and oracles as run_circuit, 0.0 seen; evaluated in another
+    # order, 4 gates of dim <= 4 round a unit state by <= 4 * 4 * 2^-53 ~ 2e-15
     assert bottom[0].distance(run_circuit(adv.circuit, base)) < 1e-12
 
 
@@ -89,6 +91,8 @@ def test_residual_vanishes_on_sampled_good_pairs(builder):
     adv = builder(4)
     for xs in ((0,), (3,)):
         for base, target in itertools.islice(good_pairs(4, xs, 5, 3), 12):
+            # as RESIDUAL_TOL: N <= 9 components, <= N^2 * 2^-53 per amplitude,
+            # x 4 over 16 amplitudes: 3.6e-14 (1.1e-16 seen)
             assert decomposition_residual(adv, base, target, xs) < 1e-10
 
 
@@ -96,6 +100,8 @@ def test_residual_vanishes_k2():
     adv = qa_basis_probe(4)
     for xs in ((0, 1), (2, 0)):
         for base, target in itertools.islice(good_pairs(4, xs, 3, 1), 12):
+            # as RESIDUAL_TOL: N = 49 components, <= N^2 * 2^-53 per amplitude,
+            # x 4 over 16 amplitudes: 1.1e-12 (0.0 seen)
             assert decomposition_residual(adv, base, target, xs) < 1e-10
 
 
@@ -125,6 +131,8 @@ def test_five_terms_match_hand_built_insertions():
     assert len(comps) == len(manual)
     for choice, sign, state in comps:
         key = (choice.slots[0], choice.miss_flags[0], choice.after_flags[0])
+        # no gates: every term is a basis state or 0, computed exactly, so a
+        # wrong term is off by a whole amplitude, distance >= 1
         assert state.distance(manual[key]) < 1e-12
         assert sign == (1 if not key[2] else -1)
 
@@ -145,6 +153,8 @@ def test_components_are_subnormalized():
     adv = qa_phase_sampler(4)
     base, target = next(good_pairs(4, (2,)))
     for _, _, state in decompose_state(adv, base, target, (2,)):
+        # projections and oracles never raise the norm; 4 gates of dim <= 4
+        # raise its square by <= 2 * 4 * 4 * 2^-53 ~ 3.6e-15 (-8.9e-16 seen)
         assert state.norm_sq() <= 1.0 + 1e-12
 
 
@@ -275,6 +285,43 @@ def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, part
 
 
 # ---------------------------------------------------------------------------
+# The plan each circuit keeps
+
+
+def test_plans_of_two_circuits_alike_in_slots_and_k_stay_apart():
+    # basis-probe and phase-sampler both have two slots, forward then backward
+    advs = [qa_basis_probe(4), qa_phase_sampler(4)]
+    for k in (1, 2):
+        xs = (0, 2)[:k]
+        for base, target in sampled_good_pairs(xs):
+            for adv in advs + advs[::-1]:
+                assert as_bytes(decompose_state(adv, base, target, xs)) == \
+                    as_bytes(reference_components(adv, base, target, xs))
+
+
+def test_start_amplitudes_are_read_only():
+    adv = qa_phase_sampler(4)
+    base, target = next(good_pairs(4, (1,)))
+    decompose_state(adv, base, target, (1,))
+    with pytest.raises(ValueError, match="read-only"):
+        adv.circuit.start[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("slots", [0, 2])
+def test_writing_into_components_leaves_the_next_call_alone(slots):
+    adv = qa_phase_sampler(4)
+    if not slots:
+        b = CircuitBuilder((("q", 4), ("r", 4)))
+        b.hadamard("q")
+        adv = QuantumAdversary(b.build(), x_regs=("q",), declared_queries=0)
+    base, target = next(good_pairs(4, (1, 3)))
+    expected = as_bytes(reference_components(adv, base, target, (1, 3)))
+    for _, _, state in decompose_state(adv, base, target, (1, 3)):
+        state.amps[...] = 7.0
+    assert as_bytes(decompose_state(adv, base, target, (1, 3))) == expected
+
+
+# ---------------------------------------------------------------------------
 # The identity on generated circuits
 
 PERMS4 = list(all_permutations(4))
@@ -342,3 +389,10 @@ def test_decomposition_identity_on_generated_circuits(data):
     assert decomposition_residual(adv, base, target, xs) < 1e-9
     assert as_bytes(decompose_state(adv, base, target, xs)) == \
         as_bytes(reference_components(adv, base, target, xs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(gates(), min_size=1, max_size=3))
+def test_generated_gates_are_unitary(segment):
+    circuit = build_circuit([segment], []).circuit
+    assert is_unitary_matrix(dense_matrix(circuit.unitaries[0].apply, circuit.regs))
