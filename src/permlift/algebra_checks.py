@@ -7,6 +7,13 @@ table edit the Monte Carlo walk runs, over a stack of all n! tables, and
 tests goodness with :func:`permlift.perms.good_pair_mask`.
 :func:`cross_check_batched` ties that edit to the scalar
 :func:`permlift.perms.reprogram`, the edit of the exact simulators.
+
+The inverse-law, commutativity and closed-form suites fold many pair
+sequences per call, in blocks of at most ``BLOCK_ROWS`` rows and at least
+one sequence: :func:`_fold` tiles a prefix stack once per sequence of the
+block and edits each row with its own x and y.  The inverse law walks its
+sequences as a depth-first trie, so each prefix is folded once and a
+length-k sequence costs one edit past its length-(k-1) prefix.
 """
 
 from __future__ import annotations
@@ -50,16 +57,6 @@ def _perm_stack(n: int) -> PermutationStack:
     return PermutationStack(np.array(list(itertools.permutations(range(n))))[:, None, :])
 
 
-def _fold(stack: PermutationStack, pairs) -> PermutationStack:
-    """A copy of `stack` with every pair folded into every row, left to right;
-    a pair's x and y are scalars or one value per row."""
-    out = stack.copy()
-    rows = np.arange(len(out))
-    for x, y in pairs:
-        out.reprogram(rows, 0, x, y)
-    return out
-
-
 def _hit_miss_rows(stack: PermutationStack, xs: list):
     """Every good (base, target) pair of rows of `stack` for the marked inputs
     xs, in blocks of about BLOCK_ROWS pairs: a stack of the bases and the
@@ -78,59 +75,111 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return (np.diff(np.sort(values, axis=1), axis=1) != 0).all(axis=1)
 
 
-def _all_pair_seqs(n: int, k: int):
-    return itertools.product(itertools.product(range(n), repeat=2), repeat=k)
+def _differing(a: np.ndarray, b: np.ndarray) -> int:
+    """How many tables (along the last axis) of a and b differ."""
+    return int(np.count_nonzero((a != b).any(axis=-1)))
+
+
+def _fold(prefix: PermutationStack, xs: np.ndarray, ys: np.ndarray) -> PermutationStack:
+    """`prefix` tiled len(xs) // len(prefix) times, copy after copy, with
+    row r folding the pairs (xs[r, j], ys[r, j]) left to right in j."""
+    copies = len(xs) // len(prefix)
+    out = PermutationStack(np.tile(prefix.fwd, (copies, 1, 1)), np.tile(prefix.inv, (copies, 1, 1)))
+    every = np.arange(len(xs))
+    for x, y in zip(xs.T, ys.T):
+        out.reprogram(every, 0, x, y)
+    return out
+
+
+def _child(block: PermutationStack, i: int, rows: int) -> PermutationStack:
+    """Copy i of a block that :func:`_fold` made from a prefix of `rows` rows."""
+    copy = slice(i * rows, (i + 1) * rows)
+    return PermutationStack(block.fwd[copy], block.inv[copy])
 
 
 def check_inverse_law(n: int, max_k: int = 2) -> CheckResult:
-    """inverse(fold(pi, pairs)) == fold(inverse(pi), swapped pairs), all pairs."""
+    """inverse(fold(pi, pairs)) == fold(inverse(pi), swapped pairs), all pairs.
+
+    The pair sequences are walked as a depth-first trie.  A prefix holds the
+    left side's n! folded tables, then the right side's folded inverses; a
+    block extends it by up to BLOCK_ROWS // 2n! pairs at once, (x, y) on the
+    left rows and (y, x) on the right, and each of its copies is the prefix
+    of the next depth.  Only the current path's blocks are alive."""
     stack = _perm_stack(n)
-    inverses = PermutationStack(stack.inv)
+    root = PermutationStack(np.concatenate([stack.fwd, stack.inv]),
+                            np.concatenate([stack.inv, stack.fwd]))
+    rows = len(root)
+    # per pair and prefix row, the row's edit: (x, y) on the left side and
+    # (y, x) on the right
+    side = np.repeat([0, 1], len(stack))
+    pairs = np.array(list(itertools.product(range(n), repeat=2)))
+    xs, ys = pairs[:, side].reshape(-1, 1), pairs[:, 1 - side].reshape(-1, 1)
+    step = max(1, BLOCK_ROWS // rows) * rows
     cases = violations = 0
-    for k in range(1, max_k + 1):
-        for pairs in _all_pair_seqs(n, k):
-            cases += len(stack)
-            lhs = np.argsort(_fold(stack, pairs).fwd, axis=-1)
-            rhs = _fold(inverses, [(y, x) for x, y in pairs]).fwd
-            violations += int(np.any(lhs != rhs, axis=(1, 2)).sum())
+
+    def walk(prefix: PermutationStack, depth: int) -> None:
+        nonlocal cases, violations
+        for lo in range(0, len(xs), step):
+            block = _fold(prefix, xs[lo:lo + step], ys[lo:lo + step])
+            left, right = block.fwd.reshape(-1, 2, len(stack), n).swapaxes(0, 1)
+            cases += len(block) // 2
+            violations += _differing(np.argsort(left, axis=-1), right)
+            if depth < max_k:
+                for i in range(len(left)):
+                    walk(_child(block, i, rows), depth + 1)
+
+    walk(root, 1)
     return CheckResult("inverse-law", cases, violations, f"n={n}, k<={max_k}")
 
 
 def check_commutativity(n: int, k: int) -> CheckResult:
-    """Every ordering of disjoint pairs folds to the same table."""
+    """Every ordering of disjoint pairs folds to the same table.
+
+    The sets of k disjoint pairs go in blocks of BLOCK_ROWS // n! sets; each
+    ordering is folded over the whole block and compared with the block's
+    reference ordering."""
     stack = _perm_stack(n)
-    cases = violations = 0
     # each unordered set of k disjoint pairs once: its xs in increasing order
-    for xs in itertools.combinations(range(n), k):
-        for ys in itertools.permutations(range(n), k):
-            pairs = tuple(zip(xs, ys))
-            reference = _fold(stack, pairs).fwd
-            for order in itertools.permutations(pairs):
-                if order == pairs:
-                    continue
-                cases += len(stack)
-                other = _fold(stack, order).fwd
-                violations += int(np.any(reference != other, axis=(1, 2)).sum())
+    sets = np.array([(xs, ys) for xs in itertools.combinations(range(n), k)
+                     for ys in itertools.permutations(range(n), k)])
+    step = max(1, BLOCK_ROWS // len(stack))
+    cases = violations = 0
+    for lo in range(0, len(sets), step):
+        # the block's pairs, repeated on each of the n! rows of their copy
+        bx, by = np.repeat(sets[lo:lo + step], len(stack), axis=0).transpose(1, 0, 2)
+        reference = _fold(stack, bx, by).fwd
+        for order in itertools.islice(itertools.permutations(range(k)), 1, None):
+            other = _fold(stack, bx[:, order], by[:, order]).fwd
+            cases += len(other)
+            violations += _differing(reference, other)
     return CheckResult("commutativity", cases, violations, f"n={n}, k={k}")
 
 
 def check_good_closed_form(n: int, max_k: int = 2) -> CheckResult:
-    """On good tuples the fold equals the three-case closed form pointwise."""
+    """On good tuples the fold equals the three-case closed form pointwise.
+
+    The disjoint tuples of each size go in blocks of BLOCK_ROWS // n!; one
+    mask picks the block's good (base, tuple) rows, and the closed form and
+    the fold are built row-wise over them."""
     stack = _perm_stack(n)
+    step = max(1, BLOCK_ROWS // len(stack))
     cases = violations = 0
     for k in range(1, max_k + 1):
-        for pairs in _all_pair_seqs(n, k):
-            if not perms.is_disjoint(pairs):
-                continue
-            xs, ys = (list(side) for side in zip(*pairs))
-            good = PermutationStack(stack.fwd[good_pair_mask(stack.fwd[:, 0, xs], np.array(ys))])
+        # a disjoint tuple: distinct xs and distinct ys
+        tuples = itertools.permutations(range(n), k)
+        xs, ys = np.array(list(itertools.product(tuples, repeat=2))).transpose(1, 0, 2)
+        for lo in range(0, len(xs), step):
+            bx, by = xs[lo:lo + step], ys[lo:lo + step]
+            b, t = np.nonzero(good_pair_mask(stack.fwd[:, 0, bx], by[None]))
+            good, x, y = stack.take(b), bx[t], by[t]
             base, base_inv = good.fwd[:, 0], good.inv[:, 0]
-            cases += len(good)
+            rows = np.arange(len(b))
             expect = base.copy()
-            for x, y in pairs:
-                expect[:, x] = y
-                expect[np.arange(len(good)), base_inv[:, y]] = base[:, x]
-            violations += int(np.any(_fold(good, pairs).fwd[:, 0] != expect, axis=1).sum())
+            for j in range(k):
+                expect[rows, x[:, j]] = y[:, j]
+                expect[rows, base_inv[rows, y[:, j]]] = base[rows, x[:, j]]
+            cases += len(b)
+            violations += _differing(_fold(good, x, y).fwd[:, 0], expect)
     return CheckResult("good-closed-form", cases, violations, f"n={n}, k<={max_k}")
 
 
@@ -144,7 +193,7 @@ def check_hit_miss_form(n: int, max_k: int = 2) -> CheckResult:
             for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
                 xside = np.hstack([x_hit, x_miss])
                 yside = np.hstack([y_hit, y_miss])
-                folded = _fold(base, zip(xs, y_hit.T)).fwd[:, 0]
+                folded = _fold(base, x_hit, y_hit).fwd[:, 0]
                 ok = (_distinct(xside) & _distinct(yside)
                       & (np.take_along_axis(folded, xside, axis=1) == yside).all(axis=1)
                       & ((_touched_by(n, x_hit, x_miss) >= 0)
@@ -190,12 +239,11 @@ def check_partial_reprogramming(n: int, max_k: int = 2) -> CheckResult:
             for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
                 x_side = _touched_by(n, x_hit, x_miss)
                 y_side = _touched_by(n, y_hit, y_miss)
-                pairs = list(zip(xs, y_hit.T))
                 # the reference's inverse tables are argsort of its forward
                 # tables, not the edit's own bookkeeping, so a stale inverse shows
-                full = PermutationStack(_fold(base, pairs).fwd)
+                full = PermutationStack(_fold(base, x_hit, y_hit).fwd)
                 for order in _subset_orders(k):
-                    part = _fold(base, [pairs[j] for j in order])
+                    part = _fold(base, x_hit[:, list(order)], y_hit[:, list(order)])
                     ok = (_agrees(x_side, order, base.fwd, part.fwd, full.fwd)
                           & _agrees(y_side, order, base.inv, part.inv, full.inv))
                     cases += len(ok)
@@ -211,8 +259,8 @@ def check_uniformity(n: int = 4) -> CheckResult:
     cases = violations = 0
     for x_star in range(n):
         counts = np.zeros(n ** n, dtype=np.int64)
-        for base, _, _, y_hit, _ in _hit_miss_rows(stack, [x_star]):
-            out = _fold(base, [(x_star, y_hit[:, 0])]).fwd[:, 0]
+        for base, x_hit, _, y_hit, _ in _hit_miss_rows(stack, [x_star]):
+            out = _fold(base, x_hit, y_hit).fwd[:, 0]
             counts += np.bincount(out @ digits, minlength=n ** n)
         cases += 1
         hit = counts[counts > 0]
@@ -293,7 +341,7 @@ def cross_check_batched(n: int = 4) -> CheckResult:
     stack = _perm_stack(n)
     cases = violations = 0
     for x, y in itertools.product(range(n), repeat=2):
-        edited = _fold(stack, [(x, y)])
+        edited = _fold(stack, np.full((len(stack), 1), x), np.full((len(stack), 1), y))
         for row, fwd, inv in zip(stack.fwd[:, 0].tolist(), edited.fwd[:, 0].tolist(),
                                  edited.inv[:, 0].tolist()):
             cases += 1

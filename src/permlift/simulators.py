@@ -675,6 +675,10 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     and k alone, from the state after the first unitary to each level's
     registers, is the circuit's plan (`_decomposition_plan`), built once.
     """
+    if not (isinstance(base, Permutation) and isinstance(target, Permutation)):
+        raise PreconditionError(
+            f"decomposition takes a Permutation base and target, not a "
+            f"{type(base).__name__} and a {type(target).__name__}")
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)

@@ -66,6 +66,7 @@ from permlift.perms import (
     is_good_pair,
 )
 from permlift.simulators import (
+    RESIDUAL_TOL,
     SimChoice,
     decompose_state,
     decomposition_residual,
@@ -159,7 +160,7 @@ def test_c04_state_decomposition():
                         worst = max(worst, total.distance(ref))
     elapsed = time.time() - started
     verdict(4, "signed decomposition reproduces the reprogrammed run",
-            worst < 1e-9 and counted_ok and elapsed < 600,
+            worst < RESIDUAL_TOL and counted_ok and elapsed < 600,
             f"{instances} instances, max residual {worst:.2e}, {elapsed:.0f}s")
 
 

@@ -1,7 +1,18 @@
 """Exhaustive law suites report zero violations; mutations are caught."""
 
-import pytest
+import json
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_algebra import (
+    reference_commutativity,
+    reference_good_closed_form,
+    reference_inverse_law,
+)
+
+from permlift import algebra_checks
 from permlift.algebra_checks import (
     bad_fraction_grid,
     check_bad_probability,
@@ -22,6 +33,7 @@ from permlift.perms import (
     all_permutations,
     bad_fraction,
     is_good_pair,
+    reprogram_seq,
 )
 
 
@@ -157,3 +169,50 @@ def test_scalar_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(perms_module, "reprogram", broken)
     assert not cross_check_batched(4).ok
     assert main(["verify-algebra", "--n", "4"]) == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize("fault", [None, _forget_the_reroute, _stale_inverse])
+@pytest.mark.parametrize("n", [4, 5])
+def test_blocked_suites_match_the_per_sequence_reference(monkeypatch, fault, n):
+    # the same cases and the same violation counts, healthy or faulted
+    if fault:
+        monkeypatch.setattr(PermutationStack, "reprogram", fault)
+    for blocked, reference, k in [(check_inverse_law, reference_inverse_law, 2),
+                                  (check_commutativity, reference_commutativity, 2),
+                                  (check_commutativity, reference_commutativity, 3),
+                                  (check_good_closed_form, reference_good_closed_form, 2)]:
+        assert json.dumps(blocked(n, k).to_dict()) == json.dumps(reference(n, k).to_dict())
+
+
+def _one_row_late(block, i, rows):
+    # copy i's rows one row on, wrapping at the block's end: each side slips
+    # one row, so the left side's last row is the right side's first and the
+    # right side's last row is the first of the neighbouring copy
+    return block.take((np.arange(i * rows, (i + 1) * rows) + 1) % len(block))
+
+
+def test_misaligned_trie_child_flips_the_inverse_law(monkeypatch):
+    healthy = check_inverse_law(4, 2)
+    monkeypatch.setattr(algebra_checks, "_child", _one_row_late)
+    result = check_inverse_law(4, 2)
+    # every case is still counted once; the depth-2 blocks fold a wrong prefix
+    assert healthy.ok and not result.ok and result.cases == healthy.cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blocked_fold_matches_reprogram_seq(data):
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, 3))
+    rows = data.draw(st.integers(1, 4))
+    copies = data.draw(st.integers(1, 3))
+    prefix = [data.draw(st.permutations(range(n))) for _ in range(rows)]
+    point = st.integers(0, n - 1)
+    seqs = [[(data.draw(point), data.draw(point)) for _ in range(k)]
+            for _ in range(copies * rows)]
+    pairs = np.array(seqs, dtype=int).reshape(copies * rows, k, 2)
+    out = algebra_checks._fold(PermutationStack(np.array(prefix)[:, None, :]),
+                               pairs[..., 0], pairs[..., 1])
+    for r, seq in enumerate(seqs):
+        want = reprogram_seq(Permutation(prefix[r % rows]), seq)
+        assert tuple(out.fwd[r, 0]) == want.fwd and tuple(out.inv[r, 0]) == want.inv

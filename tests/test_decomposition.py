@@ -14,7 +14,7 @@ from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sample
                               qa_two_query_prober, qa_value_reporter, quantum_battery)
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, Projector, run_circuit, run_with_insertions
 from permlift.errors import PreconditionError
-from permlift.perms import Permutation, all_permutations, hit_miss_queries, is_good_pair
+from permlift.perms import Cipher, Permutation, all_permutations, hit_miss_queries, is_good_pair
 from permlift.qsim import controlled_xor_gate, dense_matrix, is_unitary_matrix, superposition_gate
 from permlift.simulators import (
     HIT,
@@ -83,6 +83,15 @@ def test_keyed_circuit_is_refused():
     base, target = next(good_pairs(4, (0,)))
     with pytest.raises(PreconditionError, match="cannot query a Permutation oracle"):
         decompose_state(qa_cipher_reporter(2, 4), base, target, (0,))
+
+
+def test_cipher_base_is_refused():
+    # the keyed circuit accepts a cipher oracle, but the decomposition's
+    # partial tables are one permutation's
+    rng = np.random.default_rng(3)
+    base, target = Cipher.random(2, 4, rng), Cipher.random(2, 4, rng)
+    with pytest.raises(PreconditionError, match="takes a Permutation base and target"):
+        decompose_state(qa_cipher_reporter(2, 4), base, target, ((0, 1),))
 
 
 @pytest.mark.parametrize("builder", [qa_value_reporter, qa_backward_probe,
