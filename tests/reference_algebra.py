@@ -1,4 +1,4 @@
-"""A per-sequence reference for three reprogramming-algebra suites.
+"""A per-sequence reference for five reprogramming-algebra suites.
 
 One pair sequence at a time, each folded from a fresh copy of the n! tables:
 no blocks of sequences, no shared prefixes.  Every edit still goes through
@@ -12,7 +12,15 @@ import itertools
 import numpy as np
 
 from permlift import perms
-from permlift.algebra_checks import CheckResult, _perm_stack
+from permlift.algebra_checks import (
+    CheckResult,
+    _agrees,
+    _distinct,
+    _hit_miss_rows,
+    _perm_stack,
+    _subset_orders,
+    _touched_by,
+)
 from permlift.perms import PermutationStack, good_pair_mask
 
 
@@ -74,3 +82,40 @@ def reference_good_closed_form(n, max_k=2):
                 expect[np.arange(len(good)), base_inv[:, y]] = base[:, x]
             violations += int(np.any(_fold(good, pairs).fwd[:, 0] != expect, axis=1).sum())
     return CheckResult("good-closed-form", cases, violations, f"n={n}, k<={max_k}")
+
+
+def reference_hit_miss_form(n, max_k=2):
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for k in range(1, max_k + 1):
+        for xs in itertools.permutations(range(n), k):
+            for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
+                xside = np.hstack([x_hit, x_miss])
+                yside = np.hstack([y_hit, y_miss])
+                folded = _fold(base, zip(xs, y_hit.T)).fwd[:, 0]
+                ok = (_distinct(xside) & _distinct(yside)
+                      & (np.take_along_axis(folded, xside, axis=1) == yside).all(axis=1)
+                      & ((_touched_by(n, x_hit, x_miss) >= 0)
+                         | (folded == base.fwd[:, 0])).all(axis=1))
+                cases += len(ok)
+                violations += int((~ok).sum())
+    return CheckResult("hit-miss-form", cases, violations, f"n={n}, k<={max_k}")
+
+
+def reference_partial_reprogramming(n, max_k=2):
+    stack = _perm_stack(n)
+    cases = violations = 0
+    for k in range(1, max_k + 1):
+        for xs in itertools.permutations(range(n), k):
+            for base, x_hit, x_miss, y_hit, y_miss in _hit_miss_rows(stack, list(xs)):
+                x_side = _touched_by(n, x_hit, x_miss)
+                y_side = _touched_by(n, y_hit, y_miss)
+                pairs = list(zip(xs, y_hit.T))
+                full = PermutationStack(_fold(base, pairs).fwd)
+                for order in _subset_orders(k):
+                    part = _fold(base, [pairs[j] for j in order])
+                    ok = (_agrees(x_side, order, base.fwd, part.fwd, full.fwd)
+                          & _agrees(y_side, order, base.inv, part.inv, full.inv))
+                    cases += len(ok)
+                    violations += int((~ok).sum())
+    return CheckResult("partial-reprogramming", cases, violations, f"n={n}, k<={max_k}")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from reference_algebra import (
     reference_commutativity,
     reference_good_closed_form,
+    reference_hit_miss_form,
     reference_inverse_law,
+    reference_partial_reprogramming,
 )
 
 from permlift import algebra_checks
@@ -172,15 +174,20 @@ def test_scalar_mutation_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("fault", [None, _forget_the_reroute, _stale_inverse])
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_blocked_suites_match_the_per_sequence_reference(monkeypatch, fault, n):
-    # the same cases and the same violation counts, healthy or faulted
+    # the same cases and the same violation counts, healthy or faulted; at
+    # n <= 3 with k = 2 whole blocks hold no good row, and k = 0 folds nothing
     if fault:
         monkeypatch.setattr(PermutationStack, "reprogram", fault)
-    for blocked, reference, k in [(check_inverse_law, reference_inverse_law, 2),
-                                  (check_commutativity, reference_commutativity, 2),
-                                  (check_commutativity, reference_commutativity, 3),
-                                  (check_good_closed_form, reference_good_closed_form, 2)]:
+    for blocked, reference, k in [
+            (check_inverse_law, reference_inverse_law, 0),
+            (check_inverse_law, reference_inverse_law, 2),
+            (check_commutativity, reference_commutativity, 2),
+            (check_commutativity, reference_commutativity, 3),
+            (check_good_closed_form, reference_good_closed_form, 2),
+            (check_hit_miss_form, reference_hit_miss_form, 2),
+            (check_partial_reprogramming, reference_partial_reprogramming, 2)]:
         assert json.dumps(blocked(n, k).to_dict()) == json.dumps(reference(n, k).to_dict())
 
 
@@ -212,7 +219,21 @@ def test_blocked_fold_matches_reprogram_seq(data):
             for _ in range(copies * rows)]
     pairs = np.array(seqs, dtype=int).reshape(copies * rows, k, 2)
     out = algebra_checks._fold(PermutationStack(np.array(prefix)[:, None, :]),
-                               pairs[..., 0], pairs[..., 1])
+                               pairs[..., 0], pairs[..., 1], copies)
     for r, seq in enumerate(seqs):
         want = reprogram_seq(Permutation(prefix[r % rows]), seq)
         assert tuple(out.fwd[r, 0]) == want.fwd and tuple(out.inv[r, 0]) == want.inv
+
+
+def test_blocked_fold_takes_one_row_of_pairs_per_table():
+    # a single row of pairs folds into every table; any other count that
+    # does not match the tiled rows is refused, not cut short
+    stack = PermutationStack(np.array([[[0, 1, 2]], [[2, 0, 1]]]))
+    every = algebra_checks._fold(stack, [0, 1], [1, 2], 2)
+    for r, row in enumerate(every.fwd[:, 0].tolist()):
+        want = reprogram_seq(Permutation(stack.fwd[r % 2, 0].tolist()), [(0, 1), (1, 2)])
+        assert tuple(row) == want.fwd
+    with pytest.raises(IndexError):
+        algebra_checks._fold(stack, np.zeros((3, 1), int), np.zeros((3, 1), int), 2)
+    empty = algebra_checks._fold(stack.take([]), np.zeros((0, 2), int), np.zeros((0, 2), int))
+    assert len(empty) == 0

@@ -35,6 +35,14 @@ def test_verify_algebra_passes(tmp_path):
     assert all(r["violations"] == 0 for r in report["results"])
 
 
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_verify_algebra_passes_where_no_pair_is_good(tmp_path, k):
+    # at n <= 3 some suites find no good (base, target) pair at all
+    out = tmp_path / "report.json"
+    assert run_cli(["verify-algebra", "--n", "1", "2", "3", "--k", k, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["pass"] is True
+
+
 def test_verify_algebra_capability_error():
     assert run_cli(["verify-algebra", "--n", "11"]) == EXIT_CONFIG
 
