@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -87,16 +88,36 @@ def relation_xor_shift(n: int) -> Relation:
 
 def relation_from_pairs(name: str, n: int, pairs: Sequence[Sequence[int]],
                         k: int = 1) -> Relation:
-    table = frozenset((int(x), int(y)) for x, y in pairs)
+    """The k=1 relation won exactly on the listed (x, y) pairs, each with
+    0 <= x, y < n; a bad entry is a DomainError naming `name` and it."""
     if k != 1:
         raise DomainError("pair files describe k=1 relations")
+    table = set()
+    for entry in pairs:
+        try:
+            x, y = map(operator.index, entry)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name}: entry {entry!r} is not a pair [x, y] of integers") from None
+        if not (0 <= x < n and 0 <= y < n):
+            raise DomainError(f"{name}: entry {entry!r} lies outside 0 <= x, y < {n}")
+        table.add((x, y))
     return Relation(name, 1, n, lambda xs, ys, z: (xs[0], ys[0]) in table)
 
 
 def load_relation_file(path, n: int) -> Relation:
-    """JSON file format: a list of satisfying [x, y] pairs."""
-    with open(path) as fh:
-        pairs = json.load(fh)
+    """JSON file format: a list of satisfying [x, y] pairs.  A file that
+    cannot be read, is not JSON or holds anything else is a DomainError
+    naming the path."""
+    try:
+        with open(path) as fh:
+            pairs = json.load(fh)
+    except OSError as err:
+        raise DomainError(f"cannot read relation file {path}: {err.strerror}") from None
+    except ValueError as err:  # not JSON, or not text
+        raise DomainError(f"relation file {path} is not JSON: {err}") from None
+    if not isinstance(pairs, list):
+        raise DomainError(f"relation file {path} holds a {type(pairs).__name__}, "
+                          "not a list of [x, y] pairs")
     return relation_from_pairs(f"generalized:{path}", n, pairs)
 
 

@@ -557,11 +557,6 @@ def superposition_gate(target: str, dim: int, values: Sequence[int]) -> LocalUni
     return LocalUnitary((target,), mat.astype(np.complex128))
 
 
-def xor_gate(target: str, constant: int, dim: int) -> BasisMap:
-    """|v> -> |v ^ constant>."""
-    return BasisMap((target,), tuple(v ^ constant for v in range(dim)))
-
-
 def controlled_xor_gate(source: str, target: str, dims: tuple[int, int],
                         offset: Callable[[int], int]) -> BasisMap:
     """|s>|t> -> |s>|t ^ offset(s)>; always a bijection of the joint basis."""

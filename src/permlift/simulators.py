@@ -586,70 +586,37 @@ def exact_outcomes(adv: QuantumAdversary, bases: Sequence,
 # State decomposition
 
 
-@functools.lru_cache(maxsize=None)
-def _choice_trie(num_slots: int, k: int) -> tuple:
-    """The quantum choice space as a prefix trie of slot operations, one
-    level of rows per slot.
-
-    A choice fixes, at each slot i, the set of indices fired before slot i
-    is answered (those guessed at an earlier slot, and the one guessed at
-    slot i if it reprograms before answering) and the projection made
-    before it: (index, hit/miss) when an index is guessed at slot i.
-    Choices that agree on these up to slot i share one row of level i, the
-    state after slot i, made from a row of level i - 1 (level 0 is the one
-    state after the first unitary).  Level i is int arrays (parent row,
-    fired set as a bit mask, the rows that project, their index and
-    hit/miss).  A choice's path fixes its guesses, so the last level has a
-    row per choice, in choice order.  Returns (choices in `sim_choice_space`
-    order, their signs, the levels), none of it depending on the oracles.
-    """
-    choices = tuple(sim_choice_space(num_slots, k, with_timing=True))
-    rows = [0] * len(choices)
-    levels = []
-    for i in range(1, num_slots + 1):
-        ids, level = {}, []
-        for c, choice in enumerate(choices):
-            fired = sum(1 << j for j, s in enumerate(choice.slots)
-                        if s is not None and (s < i or (s == i and not choice.after_flags[j])))
-            j = choice.slot_map().get(i)
-            projected = (-1, -1) if j is None else (j, choice.miss_flags[j])
-            key = (rows[c], fired, projected)
-            if key not in ids:
-                ids[key] = len(level)
-                level.append((rows[c], fired) + projected)
-            rows[c] = ids[key]
-        parent, fired, j, miss = np.array(level).T
-        proj = np.flatnonzero(j >= 0)
-        levels.append((parent, fired, proj, j[proj], miss[proj]))
-    return choices, tuple(c.sign() for c in choices), tuple(levels)
-
-
 def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
     """What `decompose_state` does alike for every (base, target, xs) of a
     circuit and k, built once and kept on the circuit.
 
-    Returns (the `_choice_trie` result it was built from, the query values
-    shaped to broadcast along the query axis of a level, one step per
-    slot).  A step is the slot's direction and unitary, its trie level
-    (parent rows, fired sets, the rows that project, their index and
-    hit/miss), the level's batch registers and the shape that broadcasts the
-    projecting rows' values against the query values.  A plan built from
-    another trie result, as after `_choice_trie`'s cache is cleared, is
-    built again.
+    Returns (the choices in `sim_choice_space` order, their signs, the batch
+    registers with a row per choice, the query values shaped to broadcast
+    along the query axis, one step per slot).  A step is the slot's
+    direction and unitary, each row's fired set as a bit mask, the rows
+    that project, their index and hit/miss, and the shape that broadcasts
+    the projecting rows' values against the query values.  Index j has
+    fired by slot i if it was guessed at an earlier slot, or at slot i with
+    the reprogramming before the answer.
     """
-    trie = _choice_trie(circuit.num_slots, k)
     plan = circuit.decomposition_plans.get(k)
-    if plan is None or plan[0] is not trie:
-        ndim = 1 + len(circuit.regs.dims)
+    if plan is None:
+        choices = sim_choice_space(circuit.num_slots, k, with_timing=True)
+        picks = _choice_picks(choices, circuit.num_slots)
+        slots, miss, after = (column[picks] for column in _menu_columns(circuit.num_slots, True))
+        bits = 1 << np.arange(k)
+        regs = Registers(((TRIAL, len(choices)),) + circuit.regs.specs())
         axis = 1 + circuit.regs.axis(circuit.query)
-        values = np.arange(circuit.regs.dims[axis - 1]).reshape(
-            [-1 if a == axis else 1 for a in range(ndim)])
+        values = np.arange(regs.dims[axis]).reshape(
+            [-1 if a == axis else 1 for a in range(len(regs.dims))])
         steps = []
-        for i, (parent, fired, proj, j, miss) in enumerate(trie[2], start=1):
-            regs = Registers(((TRIAL, len(parent)),) + circuit.regs.specs())
-            steps.append((circuit.slot_tags[i - 1], circuit.unitaries[i], parent, fired, proj,
-                          j, miss, regs, (len(proj),) + (1,) * (ndim - 1)))
-        plan = circuit.decomposition_plans[k] = (trie, values, tuple(steps))
+        for i, tag in enumerate(circuit.slot_tags, start=1):
+            fired = (((0 < slots) & (slots < i)) | ((slots == i) & (after == 0))) @ bits
+            proj, j = np.nonzero(slots == i)
+            steps.append((tag, circuit.unitaries[i], fired, proj, j, miss[proj, j],
+                          (len(proj),) + (1,) * (len(regs.dims) - 1)))
+        plan = circuit.decomposition_plans[k] = (choices, [c.sign() for c in choices], regs,
+                                                 values, steps)
     return plan
 
 
@@ -664,16 +631,15 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     before the answer).  The signed sum over all components reproduces the
     run under the fully reprogrammed table.
 
-    The components are computed level by level over the choice trie
-    (`_choice_trie`).  A level is one batch state with a row per trie node
-    at its slot, made by one take of the parent rows, one projection of the
-    rows guessed there, one gather from each row's partial table (one of
-    the 2^k) and one pass of the slot's unitary: at two slots and k=2, 2
-    batch steps for the 58 nodes.  Each component is a view of its row in
-    the last level, the same sequence of operations as a
+    The components are one batch state with a row per choice, in
+    `sim_choice_space` order, each row a copy of the state after the first
+    unitary.  A slot is one projection of the rows guessed there, one gather
+    from each row's partial table (one of the 2^k) and one pass of the
+    slot's unitary: at two slots and k=2, 2 batch steps on 49 rows.  Each
+    component is a view of its row, the same sequence of operations as a
     `run_with_insertions` call for its choice.  What depends on the circuit
-    and k alone, from the state after the first unitary to each level's
-    registers, is the circuit's plan (`_decomposition_plan`), built once.
+    and k alone, from each row's fired sets to the batch registers, is the
+    circuit's plan (`_decomposition_plan`), built once.
     """
     if not (isinstance(base, Permutation) and isinstance(target, Permutation)):
         raise PreconditionError(
@@ -682,7 +648,7 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)
-    (choices, signs, _), values, steps = _decomposition_plan(circuit, len(xs))
+    choices, signs, regs, values, steps = _decomposition_plan(circuit, len(xs))
     # the 2^k partial tables, indexed by the fired set's bit mask: each table
     # so far edited by each hit pair in turn, as `reprogram` edits it
     fwd, inv = [base.fwd], [base.inv]
@@ -696,15 +662,13 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
             inv.append(i)
     tables = {FORWARD: np.array(fwd), BACKWARD: np.array(inv)}
     points = {FORWARD: np.array([hm.x_hit, hm.x_miss]), BACKWARD: np.array([hm.y_hit, hm.y_miss])}
-    amps = circuit.start[None]
-    for tag, unitary, parent, fired, proj, j, miss, regs, shape in steps:
-        amps = amps[parent]
+    # a copy: the circuit's start is read-only, and the rows are written
+    amps = np.broadcast_to(circuit.start, regs.dims).copy()
+    for tag, unitary, fired, proj, j, miss, shape in steps:
         # only guessed rows get a Projector's mask: a factor 1 can turn -0.0 to 0.0
         amps[proj] *= points[tag][miss, j].reshape(shape) == values
         amps = unitary.apply(gather(StateVector.wrap(regs, amps), tables[tag][fired],
                                     (TRIAL,), circuit.query, circuit.response)).amps
-    if not steps:
-        amps = amps.copy()  # the plain run's only state is the circuit's read-only start
     return [(choice, sign, StateVector.wrap(circuit.regs, row))
             for choice, sign, row in zip(choices, signs, amps)]
 

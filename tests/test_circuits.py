@@ -43,6 +43,8 @@ def test_run_circuit_identity_unitaries():
     b = CircuitBuilder((("q", 4), ("r", 4)))
     circuit = b.build()  # zero slots
     out = run_circuit(circuit, Permutation.identity(4))
+    # no gate and no slot: |0> comes back exactly, a wrong state is off by a whole
+    # amplitude, distance >= 1 (0.0 seen)
     assert out.distance(zero_state(circuit.regs)) < 1e-12
 
 
@@ -64,6 +66,8 @@ def test_run_circuit_norm_preserved_larger_domain():
     rng = np.random.default_rng(1)
     for _ in range(4):
         out = run_circuit(circuit, Permutation.random(16, rng))
+        # oracles permute amplitudes exactly; 2 Hadamards of dim 16 move the squared
+        # norm by <= 2 * 2 * 16 * 2^-53 ~ 7e-15 (1.7e-15 seen)
         assert abs(out.norm_sq() - 1.0) < 1e-10
 
 
@@ -79,7 +83,9 @@ def test_insertions_default_to_plain_run():
     same = run_with_insertions(circuit, [pi, pi], [None, None])
     full = Projector("q", frozenset(range(4)))
     projected = run_with_insertions(circuit, [pi, pi], [full, full])
+    # the same gates and oracles in the same order: bit-identical (0.0 seen)
     assert plain.distance(same) < 1e-12
+    # a projector onto every value multiplies by 1, exactly (0.0 seen)
     assert plain.distance(projected) < 1e-12
 
 
@@ -92,6 +98,8 @@ def test_insertions_linear_over_projector_sum():
     both = run_with_insertions(circuit, [pi], [Projector("q", frozenset((0, 2)))])
     split = run_with_insertions(circuit, [pi], [Projector("q", frozenset((0,)))]) + \
         run_with_insertions(circuit, [pi], [Projector("q", frozenset((2,)))])
+    # the two projections keep disjoint amplitudes, so the sum adds each to an exact
+    # 0: a wrong term is off by a whole amplitude of 1/2 (0.0 seen)
     assert both.distance(split) < 1e-12
 
 
@@ -145,6 +153,8 @@ def test_normalize_preserves_distribution_for_every_permutation():
         for pi in all_permutations(4):
             d1 = measure_distribution(run_combined(comb, pi), watched)
             d2 = measure_distribution(run_circuit(nf, pi), watched)
+            # the rewrite adds swaps and one Hadamard of dim 4; <= 5 gates of dim <= 4
+            # round a probability by <= 2 * 5 * 4 * 2^-53 ~ 4.4e-15 (4.4e-16 seen)
             assert np.max(np.abs(d1 - d2)) < 1e-10
 
 
@@ -186,6 +196,8 @@ def test_circuit_json_round_trip(tmp_path):
     loaded = load_circuit(path)
     assert loaded.slot_tags == circuit.slot_tags
     pi = Permutation([2, 3, 0, 1])
+    # JSON keeps each float exactly; the loaded circuit's 3 dense 16 x 16 matrices
+    # round each amplitude by <= 16 * 2^-53, x 4 over 16 amplitudes: 2.1e-14 (0.0 seen)
     assert run_circuit(loaded, pi).distance(run_circuit(circuit, pi)) < 1e-9
 
 

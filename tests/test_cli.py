@@ -236,6 +236,23 @@ def test_verify_lifting_unknown_game():
     assert run_cli(["verify-lifting", "--game", "nope", "--n", "4"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read relation file"),
+    ("not json", "is not JSON"),
+    ("[[1]]", "entry [1] is not a pair"),
+    ("[[9, 9], [0, 0]]", "entry [9, 9] lies outside 0 <= x, y < 4"),
+], ids=["missing", "not-json", "short-pair", "out-of-range"])
+def test_bad_relation_file_exits_two_naming_the_path(content, message, tmp_path, capsys):
+    path = tmp_path / "relation.json"
+    if content is not None:
+        path.write_text(content)
+    code = run_cli(["verify-lifting", "--game", f"generalized:{path}", "--n", "4",
+                    "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_bound_table_csv(tmp_path):
     out = tmp_path / "bounds.csv"
     code = run_cli(["bound-table", "--out", str(out)])

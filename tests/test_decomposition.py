@@ -168,7 +168,7 @@ def test_components_are_subnormalized():
 
 
 # ---------------------------------------------------------------------------
-# The choice trie against one run per choice
+# The components against one run per choice
 
 
 def reference_components(adv, base, target, xs):
@@ -222,25 +222,13 @@ def test_trie_components_equal_one_run_per_choice(adv, k):
                 as_bytes(reference_components(adv, base, target, xs))
 
 
-def test_choice_trie_shares_prefixes():
-    # 225 choices of 4 slots at k=2 take fewer rows than one per (choice, slot)
-    choices, signs, levels = simulators._choice_trie(4, 2)
-    assert list(choices) == sim_choice_space(4, 2, True)
-    assert signs == tuple(c.sign() for c in choices)
-    sizes = [1] + [len(parent) for parent, *_ in levels]
-    assert sizes[-1] == 225 and sum(sizes[1:]) == 404 < 225 * 4
-    assert all(0 <= parent.min() and parent.max() < size
-               for (parent, *_), size in zip(levels, sizes))
-    assert [len(parent) for parent, *_ in simulators._choice_trie(2, 2)[2]] == [9, 49]
-
-
 @pytest.fixture
-def fresh_trie():
-    """`_choice_trie` caches the sign of each choice: a test that plants a
-    sign clears the cache after planting it, and again when it ends, so no
-    other test reads a planted sign."""
-    yield
-    simulators._choice_trie.cache_clear()
+def fresh_plan(adv):
+    """The plan `adv`'s circuit keeps holds the sign of each choice and the
+    fired masks: a test that plants either clears the plans after planting
+    it, and again when it ends, so no other test reads a planted plan."""
+    yield adv.circuit.decomposition_plans.clear
+    adv.circuit.decomposition_plans.clear()
 
 
 def planted(monkeypatch, name, old, new):
@@ -257,23 +245,33 @@ def worst_residual(adv, xs):
                for base, target in sampled_good_pairs(xs, 4))
 
 
+FIRED_MASK = {
+    # an index guessed at slot i and reprogrammed before answering never fires there
+    "no-reprogram-before": (" | ((slots == i) & (after == 0))", ""),
+    # the index fires at its own slot exactly when it reprograms after answering
+    "after-fires": ("after == 0", "after == 1"),
+    # an index guessed at slot i has fired there whatever its timing
+    "own-slot-fires": ("slots < i", "slots <= i"),
+}
+
+
 @pytest.mark.parametrize("adv", [qa_basis_probe(4), qa_phase_sampler(4), qa_two_query_prober(4)],
                          ids=lambda a: a.name)
-def test_trie_key_without_the_fired_set_is_caught(monkeypatch, adv):
-    # choices that differ only in what is fired before a slot answers would
-    # share one state
+@pytest.mark.parametrize("plant", FIRED_MASK)
+def test_plan_with_a_wrong_fired_mask_is_caught(monkeypatch, fresh_plan, plant, adv):
+    # each planted mask runs some slot under another partial table
     assert worst_residual(adv, (0, 2)) < 1e-9
-    planted(monkeypatch, "_choice_trie", "key = (rows[c], fired, projected)",
-            "key = (rows[c], projected)")
+    planted(monkeypatch, "_decomposition_plan", *FIRED_MASK[plant])
+    fresh_plan()
     assert worst_residual(adv, (0, 2)) > 1e-9
 
 
 @pytest.mark.parametrize("adv", [qa_value_reporter(4), qa_basis_probe(4), qa_two_query_prober(4)],
                          ids=lambda a: a.name)
-def test_sign_that_ignores_after_flags_is_caught(monkeypatch, fresh_trie, adv):
+def test_sign_that_ignores_after_flags_is_caught(monkeypatch, fresh_plan, adv):
     assert worst_residual(adv, (1,)) < 1e-9
     monkeypatch.setattr(SimChoice, "sign", lambda self: 1)
-    simulators._choice_trie.cache_clear()
+    fresh_plan()
     assert worst_residual(adv, (1,)) > 1e-9
 
 
@@ -285,7 +283,7 @@ NEIGHBOUR_ROW = {
 
 @pytest.mark.parametrize("part", NEIGHBOUR_ROW)
 def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, part):
-    # each row of a level runs under its own partial table and projection
+    # each row runs under its own partial table and projection
     planted(monkeypatch, "decompose_state", *NEIGHBOUR_ROW[part])
     monkeypatch.setitem(globals(), "decompose_state", simulators.decompose_state)
     for adv, k in CROSS_CHECK:
