@@ -100,6 +100,18 @@ class StateVector:
         state.amps = amps
         return state
 
+    @classmethod
+    def rows(cls, regs: Registers, batch: np.ndarray) -> list["StateVector"]:
+        """One state on `regs` per row of `batch`, each a view of its row:
+        `wrap` without a method call per row."""
+        states = []
+        for amps in batch:
+            state = cls.__new__(cls)
+            state.regs = regs
+            state.amps = amps
+            states.append(state)
+        return states
+
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
@@ -184,19 +196,96 @@ def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],
            query: str = "q", response: str = "r") -> StateVector:
     """|i>|x>|y> -> |i>|x>|y ^ tables[i][x]>: the XOR oracle of a stack of
     tables, one per joint value i of the `index` registers (one table when
-    `index` is empty), stacked in row-major order of those values."""
+    `index` is empty), stacked in row-major order of those values.
+
+    One flat take from the state: amplitude o of the result is amplitude
+    ``base[o] + stride * (y[o] ^ tables.ravel()[cell[o]])``, with y[o] its
+    response value, base[o] its flat index with y set to 0, stride the
+    response register's stride and cell[o] its entry of the stacked tables
+    (`_gather_layout`).  When stride is a power of two, y is a bit field of
+    the flat index o, and that is ``o ^ stride * tables.ravel()[cell[o]]``."""
     regs = state.regs
-    axes = tuple(map(regs.axis, index)) + (regs.axis(query), regs.axis(response))
-    n = tables.shape[-1]
-    _require_xor_compatible(regs.dims[axes[-2]], regs.dims[axes[-1]], n)
-    order = axes + tuple(a for a in range(len(regs.dims)) if a not in axes)
-    moved = state.amps.transpose(order)
-    rows = moved.reshape((-1, n) + moved.shape[len(axes):])
-    ys = np.arange(n) ^ tables.reshape(-1, 1)
-    out = np.empty_like(state.amps)
-    # written through the same transposed view, so out keeps the register order
-    out.transpose(order)[...] = rows[np.arange(len(ys))[:, None], ys].reshape(moved.shape)
-    return StateVector(regs, out)
+    size = state.amps.size
+    index, lead = tuple(index), regs.names[0]
+    if lead in index[1:]:
+        # tables restacked with the leading register's values outermost, the
+        # order whose layouts fewer leading values take a prefix of
+        j = index.index(lead)
+        shape = [regs.dim(name) for name in index]
+        if tables.size == math.prod(shape) * tables.shape[-1]:
+            tables = np.moveaxis(tables.reshape(shape + [-1]), j, 0)
+        index = (lead,) + index[:j] + index[j + 1:]
+    cell, base, resp, stride, n, cells = _gather_layout(regs, index, query, response, size)
+    if tables.shape[-1] != n:
+        _require_xor_compatible(n, n, tables.shape[-1])
+    if tables.size != cells:
+        raise DomainError(f"gather over {tuple(index)} needs {cells // n} tables, "
+                          f"got {tables.size // n}")
+    source = tables.ravel().take(cell[:size])
+    if resp is None:
+        if stride > 1:
+            source *= stride
+        source ^= base[:size]
+    else:
+        source ^= resp[:size]
+        source *= stride
+        source += base[:size]
+    return StateVector.wrap(regs, state.amps.take(source).reshape(regs.dims))
+
+
+#: `gather`'s flat indices, one entry per register layout without the count
+#: of its leading register (for a batch state, the trial register), index
+#: registers and query/response pair.  An entry covers the most leading
+#: values asked for so far: the layout is row-major and the leading register
+#: comes first, so fewer leading values take a prefix of it.
+_GATHER_LAYOUTS: dict = {}
+
+
+def _gather_layout(regs: Registers, index: tuple, query: str, response: str, size: int):
+    """(cell, base, resp, stride, n, cells) for `gather` on states on
+    `regs`, the index arrays covering at least `size` amplitudes: resp is
+    None and base the flat index when stride is a power of two, and the
+    stacked tables have n entries each, `cells` in all.  The leading
+    register, if an index register, is the first one."""
+    key = (regs.names, regs.dims[1:], index, query, response)
+    layout = _GATHER_LAYOUTS.get(key)
+    if layout is None or len(layout[0]) < size:
+        layout = _GATHER_LAYOUTS[key] = _flat_layout(regs, index, query, response)
+    cell, base, resp, stride, n, cells = layout
+    if index[:1] == regs.names[:1]:
+        cells *= regs.dims[0]
+    return cell, base, resp, stride, n, cells
+
+
+def _flat_layout(regs: Registers, index: tuple, query: str, response: str) -> tuple:
+    """`_gather_layout`'s index arrays over every amplitude of a state on
+    `regs`, with the table entries per leading value if the leading register
+    is an index register, else all of them."""
+    dims = regs.dims
+    q, r = regs.axis(query), regs.axis(response)
+    n = dims[r]
+    _require_xor_compatible(dims[q], n, n)
+
+    def values(axis):
+        """Each amplitude's value of register `axis`, broadcast along the others."""
+        return np.arange(dims[axis]).reshape([-1 if a == axis else 1 for a in range(len(dims))])
+
+    axes = [regs.axis(name) for name in index] + [q]
+    cell, cells = 0, 1
+    for a in reversed(axes):
+        cell = cell + cells * values(a)
+        cells *= dims[a]
+    cell = np.broadcast_to(cell, dims).ravel()
+    stride = math.prod(dims[r + 1:])
+    base = np.arange(cell.size)
+    resp = None
+    if stride & (stride - 1):
+        resp = np.broadcast_to(values(r), dims).ravel()
+        base -= stride * resp
+    for kept in (cell, base, resp):
+        if kept is not None:  # shared by every gather on the layout
+            kept.flags.writeable = False
+    return cell, base, resp, stride, n, cells // dims[0] if index[:1] == regs.names[:1] else cells
 
 
 def apply_combined_oracle(state: StateVector, perm: Permutation, direction: str = "b",

@@ -669,8 +669,7 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
         amps[proj] *= points[tag][miss, j].reshape(shape) == values
         amps = unitary.apply(gather(StateVector.wrap(regs, amps), tables[tag][fired],
                                     (TRIAL,), circuit.query, circuit.response)).amps
-    return [(choice, sign, StateVector.wrap(circuit.regs, row))
-            for choice, sign, row in zip(choices, signs, amps)]
+    return list(zip(choices, signs, StateVector.rows(circuit.regs, amps)))
 
 
 #: A `decomposition_residual` at or above this is a wrong decomposition: the

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_decomposition import REGISTERS, build_circuit, gates
 
 from permlift.circuits import (
     BACKWARD,
     FORWARD,
+    DUMMY_QUERY,
     CircuitBuilder,
     CombinedCircuit,
     NormalFormCircuit,
@@ -22,6 +26,7 @@ from permlift.circuits import (
 from permlift.errors import DomainError
 from permlift.perms import Permutation, all_permutations
 from permlift.qsim import (
+    BRANCH_CUT,
     Registers,
     Unitary,
     basis_perm_gate,
@@ -31,6 +36,7 @@ from permlift.qsim import (
     measure_distribution,
     zero_state,
 )
+from permlift.simulators import QuantumAdversary, exact_outcomes
 
 
 def simple_circuit(n=4):
@@ -165,6 +171,46 @@ def test_normalize_dummy_registers_stay_clean():
     out = run_circuit(nf, pi)
     dq = measure_distribution(out, ("_dq",))
     assert dq[0] == pytest.approx(1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_normalize_is_exact_on_generated_circuits(data):
+    # combined-oracle circuits on (b, 2), (q, 4), (r, 4), (a, 2) with 1-2
+    # queries and the generated gates of the decomposition tests, plus a
+    # Hadamard on the direction register
+    queries = data.draw(st.integers(1, 2))
+    gate = st.one_of(gates(), st.just(("hadamard", "b")))
+    segments = data.draw(st.lists(st.lists(gate, max_size=3), min_size=queries + 1,
+                                  max_size=queries + 1))
+    built = build_circuit(segments, [FORWARD] * queries, (("b", 2),) + REGISTERS).circuit
+    comb = CombinedCircuit(built.regs, built.unitaries)
+    nf = normalize(comb)
+    watched = ("q", "b", "r", "a")
+    # Both runs apply the same gates to the original registers, and their
+    # oracles, swaps and basis maps only move amplitudes.  The rewrite's
+    # state is the combined one times the dummy pair's |0>|+>, so each gate
+    # rounds a differently scaled input: a dense gate of dim d <= 4 by at
+    # most sqrt(d) * sqrt(2) * gamma_(d+2) <= 17 u in norm (u = 2^-53) and a
+    # phase by 3 u, for G gates (the rewrite's Hadamard among them) and each
+    # run.  A probability moves by at most twice the states' distance, and
+    # a marginal sums at most 32 cells (32 u more): ~1e-14 at 9 gates, and
+    # 4.4e-16 seen on both comparisons over 200 examples.
+    gates_run = 1 + sum(map(len, segments))
+    tol = (2 * 2 * 17 * gates_run + 32) * 2.0 ** -53
+    perms = list(all_permutations(4))
+    # the batched walk runs every permutation as one row, with the direction
+    # register between the trial register and the query register
+    adv = QuantumAdversary(nf, x_regs=("q",), z_regs=("b", "r", "a"))
+    walked = {(pi, xs + z): p for (xs, z, pi), p in exact_outcomes(adv, perms)}
+    for pi in perms:
+        d1 = measure_distribution(run_combined(comb, pi), watched)
+        d2 = measure_distribution(run_circuit(nf, pi), watched)
+        assert np.max(np.abs(d1 - d2)) <= tol
+        # the walk drops outputs at or below BRANCH_CUT
+        d3 = np.array([walked.get((pi, idx), 0.0) for idx in np.ndindex(d1.shape)])
+        assert np.max(np.abs(d1.ravel() - d3)) <= tol + BRANCH_CUT
+        assert measure_distribution(run_circuit(nf, pi), (DUMMY_QUERY,))[0] >= 1 - tol
 
 
 # ---------------------------------------------------------------------------

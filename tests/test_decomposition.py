@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_simulators import qa_cipher_reporter
 
-from permlift import simulators
+from permlift import qsim, simulators
 from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sampler,
                               qa_two_query_prober, qa_value_reporter, quantum_battery)
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, Projector, run_circuit, run_with_insertions
 from permlift.errors import PreconditionError
 from permlift.perms import Cipher, Permutation, all_permutations, hit_miss_queries, is_good_pair
-from permlift.qsim import controlled_xor_gate, dense_matrix, is_unitary_matrix, superposition_gate
+from permlift.qsim import (TRIAL, controlled_xor_gate, dense_matrix, is_unitary_matrix,
+                           superposition_gate)
 from permlift.simulators import (
     HIT,
     QuantumAdversary,
@@ -291,6 +292,56 @@ def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, part
             test_trie_components_equal_one_run_per_choice(adv, k)
 
 
+def neighbour_row_layout(monkeypatch):
+    """A gather layout whose row r > 0 reads row r - 1's tables."""
+    real = qsim._flat_layout
+
+    def shifted(regs, index, query, response):
+        cell, *rest, per_row = real(regs, index, query, response)
+        if index[:1] == (TRIAL,):
+            cell = np.where(cell >= per_row, cell - per_row, cell)
+        return (cell, *rest, per_row)
+
+    monkeypatch.setattr(qsim, "_flat_layout", shifted)
+    monkeypatch.setattr(qsim, "_GATHER_LAYOUTS", {})
+
+
+def smaller_layout_reused(monkeypatch):
+    """A gather layout that, asked to cover more rows, repeats the indices of
+    the first, smaller one it built: the rows past it read the first rows'
+    amplitudes and tables."""
+    real, first = qsim._flat_layout, {}
+
+    def reused(regs, index, query, response):
+        layout = real(regs, index, query, response)
+        old = first.setdefault((regs.names, regs.dims[1:], index, query, response), layout)
+        return tuple(None if a is None else np.resize(a, len(layout[0])) for a in old[:3]) + old[3:]
+
+    monkeypatch.setattr(qsim, "_flat_layout", reused)
+    monkeypatch.setattr(qsim, "_GATHER_LAYOUTS", {})
+
+
+GATHER_FAULTS = {"neighbour-row": neighbour_row_layout, "smaller-layout": smaller_layout_reused}
+
+
+@pytest.mark.parametrize("fault", GATHER_FAULTS)
+def test_gather_fault_fails_the_component_cross_check(monkeypatch, fault):
+    # the reference runs one unbatched state per choice, which neither fault
+    # touches.  Each adversary runs k=1, then k=2 on more rows, on a fresh
+    # plant, so k=2 gets the smaller layout k=1 left.
+    failed = []
+    for adv, k in CROSS_CHECK:
+        if k == 1:
+            monkeypatch.undo()
+            GATHER_FAULTS[fault](monkeypatch)
+        try:
+            test_trie_components_equal_one_run_per_choice(adv, k)
+        except AssertionError:
+            failed.append((adv.name, k))
+    expected = CROSS_CHECK if fault == "neighbour-row" else [(a, k) for a, k in CROSS_CHECK if k == 2]
+    assert failed == [(adv.name, k) for adv, k in expected]
+
+
 # ---------------------------------------------------------------------------
 # The plan each circuit keeps
 
@@ -359,8 +410,8 @@ def gates(draw):
     return "controlled_xor", source, target, tuple(offsets)
 
 
-def build_circuit(segments, tags):
-    b = CircuitBuilder(REGISTERS)
+def build_circuit(segments, tags, registers=REGISTERS):
+    b = CircuitBuilder(registers)
     for i, segment in enumerate(segments):
         if i:
             b.oracle(tags[i - 1])

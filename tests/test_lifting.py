@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_lift import reference_adversary_win, reference_lifted_win
 from reference_walk import reference_distribution
-from test_decomposition import PERMS4, build_circuit, gates
+from test_decomposition import GATHER_FAULTS, PERMS4, build_circuit, gates
 
 from permlift import lifting, simulators
 from permlift.battery import (
@@ -334,6 +334,14 @@ def test_value_from_the_neighbouring_row_fails_the_cross_check(monkeypatch, lazy
             return mask, np.roll(weight, 1)
 
         monkeypatch.setattr(PermutationStack, "forks", shifted)
+    assert max(_lazy_gaps(lazy_references)) > 1
+
+
+@pytest.mark.parametrize("fault", GATHER_FAULTS)
+def test_gather_fault_fails_the_cross_check(monkeypatch, lazy_references, fault):
+    # the depth-first reference gathers one unbatched state at a time, which
+    # neither fault touches; the walk's parts come in many row counts
+    GATHER_FAULTS[fault](monkeypatch)
     assert max(_lazy_gaps(lazy_references)) > 1
 
 

@@ -1,10 +1,15 @@
 """Statevector engine: oracles, gates, measurement, projections."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_gather import reference_gather
 
+from permlift import qsim
 from permlift.errors import DomainError
 from permlift.perms import Cipher, Permutation, all_permutations
 from permlift.qsim import (
@@ -12,11 +17,13 @@ from permlift.qsim import (
     DiagonalPhase,
     LocalUnitary,
     Registers,
+    TRIAL,
     StateVector,
     apply_combined_oracle,
     apply_oracle,
     basis_state,
     dense_matrix,
+    gather,
     hadamard_gate,
     is_unitary_matrix,
     measure_distribution,
@@ -33,13 +40,17 @@ def regs(n, extra=()):
     return Registers((("q", n), ("r", n)) + tuple(extra))
 
 
+def same(a, b):
+    """An XOR oracle only moves amplitudes, so its results compare exactly."""
+    return a.regs == b.regs and np.array_equal(a.amps, b.amps)
+
+
 def test_identity_oracle_copies_query():
     r = regs(4)
     ident = Permutation.identity(4)
     for x in range(4):
         out = apply_oracle(basis_state(r, {"q": x, "r": 0}), ident)
-        expect = basis_state(r, {"q": x, "r": x})
-        assert out.distance(expect) < 1e-12
+        assert same(out, basis_state(r, {"q": x, "r": x}))
 
 
 def test_backward_oracle_recovers_preimage():
@@ -47,7 +58,7 @@ def test_backward_oracle_recovers_preimage():
     pi = Permutation([2, 3, 1, 0])
     for x in range(4):
         out = apply_oracle(basis_state(r, {"q": pi(x), "r": 0}), pi, "backward")
-        assert out.distance(basis_state(r, {"q": pi(x), "r": x})) < 1e-12
+        assert same(out, basis_state(r, {"q": pi(x), "r": x}))
 
 
 def test_oracle_is_self_inverse():
@@ -59,7 +70,7 @@ def test_oracle_is_self_inverse():
     state = StateVector(r, amps)
     for direction in ("forward", "backward"):
         twice = apply_oracle(apply_oracle(state, pi, direction), pi, direction)
-        assert twice.distance(state) < 1e-12
+        assert same(twice, state)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -73,7 +84,7 @@ def test_oracle_unitarity_and_xor_table(n):
         for x in range(n):
             for y in range(n):
                 out = apply_oracle(basis_state(r, {"q": x, "r": y}), pi, direction)
-                assert out.distance(basis_state(r, {"q": x, "r": y ^ table[x]})) < 1e-12
+                assert same(out, basis_state(r, {"q": x, "r": y ^ table[x]}))
 
 
 def test_non_power_of_two_rejected():
@@ -90,7 +101,9 @@ def test_combined_oracle_branches():
         state = basis_state(r, {"b": b, "q": 2, "r": 0})
         out = apply_combined_oracle(state, pi)
         want = pi(2) if b == 0 else pi.backward(2)
-        assert out.distance(basis_state(r, {"b": b, "q": 2, "r": want})) < 1e-12
+        # each branch's projection keeps or zeroes amplitudes, and the sum adds
+        # each amplitude to an exact 0
+        assert same(out, basis_state(r, {"b": b, "q": 2, "r": want}))
 
 
 def test_combined_oracle_linear_in_superposed_direction():
@@ -103,7 +116,8 @@ def test_combined_oracle_linear_in_superposed_direction():
     out = apply_combined_oracle(state, pi)
     manual = apply_oracle(project(state, "b", (0,)), pi, "forward") + \
         apply_oracle(project(state, "b", (1,)), pi, "backward")
-    assert out.distance(manual) < 1e-12
+    # the same projections, moves and sums in the same order
+    assert same(out, manual)
 
 
 def test_cipher_oracle_matches_per_key_tables():
@@ -113,12 +127,10 @@ def test_cipher_oracle_matches_per_key_tables():
     for key in range(2):
         for x in range(4):
             out = apply_oracle(basis_state(r, {"K": key, "q": x, "r": 0}), E, key="K")
-            assert out.distance(
-                basis_state(r, {"K": key, "q": x, "r": E.forward(key, x)})) < 1e-12
+            assert same(out, basis_state(r, {"K": key, "q": x, "r": E.forward(key, x)}))
             back = apply_oracle(
                 basis_state(r, {"K": key, "q": x, "r": 0}), E, "backward", key="K")
-            assert back.distance(
-                basis_state(r, {"K": key, "q": x, "r": E.backward(key, x)})) < 1e-12
+            assert same(back, basis_state(r, {"K": key, "q": x, "r": E.backward(key, x)}))
 
 
 def test_measure_distribution_point_mass_and_uniform():
@@ -230,3 +242,86 @@ def test_gates_on_non_leading_targets_match_einsum(targets, transposed):
         got = gate.apply(state)
         assert got.amps.shape == state.regs.dims
         np.testing.assert_allclose(got.amps, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# gather against the transposing reference
+
+
+@st.composite
+def gather_layouts(draw):
+    """(register specs after the trial register, index registers, n, row
+    counts): q, r, an optional key register and up to three other registers
+    in any order, so registers lie before, between and after the query and
+    response and r may come before q; the index registers are any of the
+    trial, key and first other register, in any order."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    specs = [("q", n), ("r", n)]
+    if draw(st.booleans()):
+        specs.append(("k", draw(st.integers(1, 3))))
+    specs += [(f"e{i}", d) for i, d in enumerate(draw(st.lists(st.integers(1, 3), max_size=3)))]
+    specs = draw(st.permutations(specs))
+    names = {name for name, _ in specs}
+    index = draw(st.lists(st.sampled_from([TRIAL] + sorted(names & {"k", "e0"})), unique=True))
+    rows = draw(st.lists(st.integers(1, 5), max_size=3))
+    rows.insert(draw(st.integers(0, len(rows))), 1)
+    return specs, tuple(index), n, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(gather_layouts(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_gather_matches_the_transposing_reference(layout, transposed, seed):
+    specs, index, n, rows = layout
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(qsim, "_GATHER_LAYOUTS", {}):
+        for count in rows:
+            regs = Registers([(TRIAL, count)] + specs)
+            amps = rng.normal(size=regs.dims) + 1j * rng.normal(size=regs.dims)
+            if transposed:  # the same values laid out in memory in reverse axis order
+                amps = np.ascontiguousarray(amps.T).T
+            state = StateVector(regs, amps)
+            tables = rng.integers(0, n, size=[regs.dim(name) for name in index] + [n])
+            got = gather(state, tables, index)
+            assert got.regs == regs
+            assert got.amps.tobytes() == reference_gather(state, tables, index).amps.tobytes()
+        # one layout, whatever the row counts
+        assert len(qsim._GATHER_LAYOUTS) == 1
+
+
+def test_one_gather_layout_per_register_layout_whatever_the_row_count():
+    rng = np.random.default_rng(4)
+    with mock.patch.object(qsim, "_GATHER_LAYOUTS", {}):
+        for count in (3, 1, 7, 2, 7, 5):
+            regs = Registers([(TRIAL, count), ("b", 2), ("q", 4), ("r", 4)])
+            state = StateVector(regs, rng.normal(size=regs.dims) + 0j)
+            tables = rng.integers(0, 4, size=(2, count, 4))
+            # one table for all rows, one per row, and one per (b, row): the
+            # last restacked with the rows outermost
+            for index, table in (((), tables[0, 0]), ((TRIAL,), tables[0]), (("b", TRIAL), tables)):
+                assert gather(state, table, index).amps.tobytes() == \
+                    reference_gather(state, table, index).amps.tobytes()
+        assert len(qsim._GATHER_LAYOUTS) == 3
+        # each entry covers the largest batch seen: 7 rows of 32 amplitudes
+        assert {len(layout[0]) for layout in qsim._GATHER_LAYOUTS.values()} == {7 * 32}
+
+
+@pytest.mark.parametrize("specs,n,match", [
+    ([("q", 3), ("r", 3)], 3, "power-of-two"),
+    ([("q", 4), ("r", 4)], 2, "needs query/response dims"),
+    ([("q", 2), ("r", 4)], 4, "needs query/response dims"),
+])
+def test_gather_rejects_a_bad_domain(specs, n, match):
+    regs = Registers([(TRIAL, 2)] + specs)
+    state = zero_state(regs)
+    with pytest.raises(DomainError, match=match):
+        gather(state, np.zeros((2, n), dtype=np.int64), (TRIAL,))
+    # the refusal is not cached: it is raised again
+    with pytest.raises(DomainError, match=match):
+        gather(state, np.zeros((2, n), dtype=np.int64), (TRIAL,))
+
+
+def test_gather_rejects_a_table_count_that_does_not_match_the_index():
+    state = zero_state(Registers([(TRIAL, 3), ("q", 4), ("r", 4)]))
+    for count in (2, 4):
+        with pytest.raises(DomainError, match=f"needs 3 tables, got {count}"):
+            gather(state, np.zeros((count, 4), dtype=np.int64), (TRIAL,))
