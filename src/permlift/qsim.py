@@ -203,18 +203,17 @@ def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],
     response value, base[o] its flat index with y set to 0, stride the
     response register's stride and cell[o] its entry of the stacked tables
     (`_gather_layout`).  When stride is a power of two, y is a bit field of
-    the flat index o, and that is ``o ^ stride * tables.ravel()[cell[o]]``."""
+    the flat index o, and that is ``o ^ stride * tables.ravel()[cell[o]]``.
+
+    The leading register may be indexed only as the first index register,
+    so that its values lead the stacked tables and fewer of them take a
+    prefix of the cached layout; any other order is a DomainError."""
     regs = state.regs
     size = state.amps.size
-    index, lead = tuple(index), regs.names[0]
-    if lead in index[1:]:
-        # tables restacked with the leading register's values outermost, the
-        # order whose layouts fewer leading values take a prefix of
-        j = index.index(lead)
-        shape = [regs.dim(name) for name in index]
-        if tables.size == math.prod(shape) * tables.shape[-1]:
-            tables = np.moveaxis(tables.reshape(shape + [-1]), j, 0)
-        index = (lead,) + index[:j] + index[j + 1:]
+    index = tuple(index)
+    if regs.names[0] in index[1:]:
+        raise DomainError(f"gather over {index} indexes the leading register "
+                          f"{regs.names[0]!r} after another: it must be the first index register")
     cell, base, resp, stride, n, cells = _gather_layout(regs, index, query, response, size)
     if tables.shape[-1] != n:
         _require_xor_compatible(n, n, tables.shape[-1])
@@ -290,11 +289,11 @@ def _flat_layout(regs: Registers, index: tuple, query: str, response: str) -> tu
 
 def apply_combined_oracle(state: StateVector, perm: Permutation, direction: str = "b",
                           query: str = "q", response: str = "r") -> StateVector:
-    """Direction-controlled dispatch: b=0 queries forward, b=1 backward."""
+    """Direction-controlled dispatch: b=0 queries forward, b=1 backward, as
+    one `gather` of the tables (pi, pi^-1) indexed by the direction register."""
     if state.regs.dim(direction) != 2:
         raise DomainError("direction register must have dimension 2")
-    return (apply_oracle(project(state, direction, (0,)), perm, "forward", query, response)
-            + apply_oracle(project(state, direction, (1,)), perm, "backward", query, response))
+    return gather(state, np.array([perm.fwd, perm.inv]), (direction,), query, response)
 
 
 def measure_distribution(state: StateVector, names: Sequence[str]) -> np.ndarray:
@@ -324,22 +323,21 @@ def project(state: StateVector, name: str, kept: Iterable[int]) -> StateVector:
     return StateVector(state.regs, state.amps * keep.reshape(shape))
 
 
-def measurement_branches(state: StateVector, names: Sequence[str],
-                         tol: float = BRANCH_CUT):
-    """All outcomes of a computational-basis measurement of the named registers.
+def measurement_branches(state: StateVector, names: Sequence[str]):
+    """All outcomes of a computational-basis measurement of the named registers:
+    `branch_rows` and `project_rows` on a batch of one.
 
-    Yields (values, subnormalized collapsed state); branch weights are the
-    squared norms of the collapsed states, so they sum to the input norm.
+    Yields (values, subnormalized collapsed state) for each outcome of
+    probability above BRANCH_CUT, in row-major order of the values; branch
+    weights are the squared norms of the collapsed states.
     """
-    marg = measure_distribution(state, names)
-    for values in np.ndindex(*marg.shape):
-        if marg[values] <= tol:
-            continue
-        sub = state
-        for name, v in zip(names, values):
-            sub = project(sub, name, (int(v),))
-        out = values[0] if len(names) == 1 else tuple(int(v) for v in values)
-        yield out, sub
+    batch = batch_state(state, 1)
+    rows, values = branch_rows(batch, names, np.ones(1, dtype=bool))
+    if not len(rows):  # every outcome at or below the cut
+        return
+    branches = project_rows(batch, names, rows, values)
+    for out, amps in zip(values.tolist(), branches.amps):
+        yield out[0] if len(names) == 1 else tuple(out), StateVector.wrap(state.regs, amps)
 
 
 def sample_measurement(state: StateVector, names: Sequence[str], rng):
@@ -347,7 +345,7 @@ def sample_measurement(state: StateVector, names: Sequence[str], rng):
     `sample_rows` on a batch of one."""
     values, collapsed = sample_rows(batch_state(state, 1), names, rng)
     out = int(values[0, 0]) if len(names) == 1 else tuple(int(v) for v in values[0])
-    return out, StateVector(state.regs, collapsed.amps[0])
+    return out, StateVector.wrap(state.regs, collapsed.amps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,7 @@ def batch_state(state: StateVector, rows: int) -> StateVector:
     """`rows` copies of `state`, stacked along a leading TRIAL register.  Every
     gate acts on a batch state row by row, as it acts on `state`."""
     regs = Registers(((TRIAL, rows),) + state.regs.specs())
-    return StateVector(regs, np.broadcast_to(state.amps, regs.dims).copy())
+    return StateVector.wrap(regs, np.broadcast_to(state.amps, regs.dims).copy())
 
 
 def _projector(regs: Registers, names: Sequence[str], measured: np.ndarray,
@@ -407,14 +405,14 @@ def sample_rows(batch: StateVector, names: Sequence[str], rng, live=None):
     cdf = np.cumsum(flat / flat.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
     picks = (cdf <= rng.random(len(measured))[:, None]).sum(axis=1)
-    keep = _projector(regs, names, measured, picks)
-    norms = np.sum(probs * keep, axis=tuple(range(1, keep.ndim)))
+    # a drawn row's squared norm after projection is the probability of its draw
     scale = np.ones(size)
-    scale[measured] = 1.0 / np.sqrt(norms[measured])
+    scale[measured] = 1.0 / np.sqrt(flat[np.arange(len(measured)), picks])
     values = np.full((size, len(names)), -1, dtype=np.int64)
     values[measured] = np.column_stack(np.unravel_index(picks, marg.shape[1:]))
+    keep = _projector(regs, names, measured, picks)
     scale = scale.reshape((-1,) + (1,) * (keep.ndim - 1))
-    return values, StateVector(regs, batch.amps * (keep * scale))
+    return values, StateVector.wrap(regs, batch.amps * (keep * scale))
 
 
 def branch_rows(batch: StateVector, names: Sequence[str], live):
@@ -446,7 +444,7 @@ def project_rows(batch: StateVector, names: Sequence[str], rows: np.ndarray,
     regs = Registers(((TRIAL, len(rows)),) + batch.regs.specs()[1:])
     measured = np.flatnonzero(values[:, 0] >= 0)
     outcomes = np.ravel_multi_index(tuple(values[measured].T), [regs.dim(n) for n in names])
-    return StateVector(regs, batch.amps[rows] * _projector(regs, names, measured, outcomes))
+    return StateVector.wrap(regs, batch.amps[rows] * _projector(regs, names, measured, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ class LocalUnitary(Gate):
                 f"gate on {self.targets} needs a {d}x{d} matrix, got {self.matrix.shape}"
             )
         out = (self.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
-        return StateVector(state.regs, out.transpose(back))
+        return StateVector.wrap(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)
@@ -520,7 +518,7 @@ class BasisMap(Gate):
                 f"basis map on {self.targets} needs a table of {d} values, got {len(self.table)}"
             )
         out = moved.reshape(d, -1)[self._inverse].reshape(moved.shape)
-        return StateVector(state.regs, out.transpose(back))
+        return StateVector.wrap(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)
@@ -535,7 +533,7 @@ class RegisterSwap(Gate):
         ax, bx = regs.axis(self.a), regs.axis(self.b)
         if regs.dims[ax] != regs.dims[bx]:
             raise DomainError("swapped registers must have equal dimension")
-        return StateVector(regs, np.swapaxes(state.amps, ax, bx))
+        return StateVector.wrap(regs, np.swapaxes(state.amps, ax, bx))
 
 
 @dataclass(frozen=True)
@@ -562,7 +560,7 @@ class ControlledRegisterSwap(Gate):
             bx2 = bx - (bx > ac)
             block = np.swapaxes(block, ax2, bx2)
         out[tuple(sel)] = block
-        return StateVector(regs, out)
+        return StateVector.wrap(regs, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,7 +573,7 @@ class DiagonalPhase(Gate):
     def apply(self, state: StateVector) -> StateVector:
         moved, back = _targets_first(state, self.targets)
         out = moved * self.phases.reshape(self.phases.shape + (1,) * (moved.ndim - self.phases.ndim))
-        return StateVector(state.regs, out.transpose(back))
+        return StateVector.wrap(state.regs, out.transpose(back))
 
 
 @dataclass(frozen=True)

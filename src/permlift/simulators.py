@@ -284,12 +284,6 @@ class QuantumAdversary:
         kx = len(self.x_regs)
         return [(idx[:kx], idx[kx:]) for idx in itertools.product(*map(range, dims))]
 
-    def output_distribution(self, state: StateVector) -> dict:
-        """((xs), (z)) -> probability, for each output above BRANCH_CUT."""
-        probs = measure_distribution(state, self.x_regs + self.z_regs).reshape(-1)
-        outputs = self.outputs()
-        return {outputs[i]: float(probs[i]) for i in np.flatnonzero(probs > BRANCH_CUT)}
-
 
 def _choice_picks(choices: Sequence[SimChoice], num_slots: int) -> np.ndarray:
     """The menu indices of each choice, one row each, as `sample_sim_choices`
@@ -348,7 +342,7 @@ class _CountedReads:
         self.calls = np.zeros(len(oracles), dtype=np.int64) if calls is None else calls
 
     def read(self, rows, keys, points, forward) -> np.ndarray:
-        np.add.at(self.calls, rows, 1)
+        self.calls[rows] += 1  # a read's rows are distinct
         return self.oracles.lookup(rows, keys, points, forward)
 
 
@@ -488,36 +482,35 @@ def _split(adv: QuantumAdversary, rows: _Rows, i: int, live: np.ndarray):
 def _answer(adv: QuantumAdversary, rows: _Rows, i: int, hit: np.ndarray,
             values: Optional[np.ndarray]) -> None:
     """Slot i of a walk, in place, after its measurement: each row `hit`
-    measured to its `values` gets its edit (`_edit_rows`); a row guessing
-    "after" is answered by its table before the edit, every other row by
-    its current table, in one gather; then the slot's gates run."""
+    measured to its `values` gets its edit (`_edit_rows`), before the slot's
+    one gather from the rows' tables or, for a row guessing "after", after
+    it; then the slot's gates run."""
     circuit = adv.circuit
     tag = circuit.slot_tags[i - 1]
     _, miss_of, after_of = _menu_columns(circuit.num_slots, True)
     tables = rows.tables
-    answer = tables.fwd if tag == FORWARD else tables.inv
     entries = {}
     if len(hit):
         pick = rows.picks[hit, (rows.slots[hit] == i).argmax(axis=1)]
-        keys = values[hit, 0] if circuit.key else 0
+        keys = values[hit, 0] if circuit.key else np.zeros(len(hit), dtype=np.int64)
         xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], rows.base,
                             rows.external)
-        after = np.zeros(len(tables), dtype=bool)
-        after[hit] = after_of[pick] == 1
-        before = answer.copy()
-        tables.reprogram(hit, keys, xs, ys)
-        answer = np.where(after[:, None, None], before, answer)
+        late = after_of[pick] == 1
+        tables.reprogram(hit[~late], keys[~late], xs[~late], ys[~late])
         if rows.traces is not None:
             lead = values[hit, :1] if circuit.key else np.zeros((len(hit), 0), dtype=np.int64)
             edits = np.column_stack([lead, xs, ys]).tolist()
-            for r, point, edit in zip(hit.tolist(), values[hit].tolist(), edits):
+            for r, point, edit, after in zip(hit.tolist(), values[hit].tolist(), edits, late):
                 entries[r] = _trace_entry(i, tag, tuple(point), tuple(edit),
-                                          "after" if after[r] else "before")
+                                          "after" if after else "before")
     for r, trace in enumerate(rows.traces or ()):
         trace.append(entries.get(r) or _trace_entry(i, tag, None, None, None))
     index = (TRIAL, circuit.key) if circuit.key else (TRIAL,)
-    rows.state = circuit.unitaries[i].apply(gather(rows.state, answer, index, circuit.query,
-                                                   circuit.response))
+    answered = gather(rows.state, tables.fwd if tag == FORWARD else tables.inv, index,
+                      circuit.query, circuit.response)
+    if len(hit):
+        tables.reprogram(hit[late], keys[late], xs[late], ys[late])
+    rows.state = circuit.unitaries[i].apply(answered)
 
 
 def sample_quantum_batch(adv: QuantumAdversary, base: PermutationStack, rng,

@@ -1,13 +1,40 @@
 """A depth-first reference for the exact quantum measure-and-reprogram walk.
 
 One branch at a time, against a concrete permutation target: no batch, no
-forks of a lazily read target, no trace.  The tests check the batched walk
-in `permlift.simulators` against it.
+forks of a lazily read target, no trace.  Its measurement splits a state one
+projection per register (`measurement_branches`) and it scores a final state
+by its output marginal (`output_distribution`), apart from the batched
+`branch_rows`/`project_rows` and `exact_outcomes` of the engine.  The tests
+check the batched walk in `permlift.simulators` against it.
 """
 
+import numpy as np
+
 from permlift.circuits import FORWARD
-from permlift.qsim import apply_oracle, measurement_branches, zero_state
+from permlift.qsim import BRANCH_CUT, apply_oracle, measure_distribution, project, zero_state
 from permlift.simulators import MISS
+
+
+def measurement_branches(state, names):
+    """(values, subnormalized collapsed state) for each outcome of measuring
+    the named registers above BRANCH_CUT, in row-major order of the values,
+    each state projected onto one register's value at a time."""
+    marg = measure_distribution(state, names)
+    for values in np.ndindex(*marg.shape):
+        if marg[values] <= BRANCH_CUT:
+            continue
+        sub = state
+        for name, v in zip(names, values):
+            sub = project(sub, name, (int(v),))
+        out = values[0] if len(names) == 1 else tuple(int(v) for v in values)
+        yield out, sub
+
+
+def output_distribution(adv, state) -> dict:
+    """((xs), (z)) -> probability, for each output of `adv` above BRANCH_CUT."""
+    probs = measure_distribution(state, adv.x_regs + adv.z_regs).reshape(-1)
+    outputs = adv.outputs()
+    return {outputs[i]: float(probs[i]) for i in np.flatnonzero(probs > BRANCH_CUT)}
 
 
 def reference_distribution(adv, base, target, choice) -> dict:
@@ -24,7 +51,7 @@ def reference_distribution(adv, base, target, choice) -> dict:
 
     def walk(state, table, i):
         if i > circuit.num_slots:
-            for key, p in adv.output_distribution(state).items():
+            for key, p in output_distribution(adv, state).items():
                 dist[key] = dist.get(key, 0.0) + p
             return
         j = slot_map.get(i)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_gather import reference_gather
+from reference_walk import measurement_branches as reference_branches
 
 from permlift import qsim
 from permlift.errors import DomainError
@@ -101,8 +102,7 @@ def test_combined_oracle_branches():
         state = basis_state(r, {"b": b, "q": 2, "r": 0})
         out = apply_combined_oracle(state, pi)
         want = pi(2) if b == 0 else pi.backward(2)
-        # each branch's projection keeps or zeroes amplitudes, and the sum adds
-        # each amplitude to an exact 0
+        # one gather only moves amplitudes
         assert same(out, basis_state(r, {"b": b, "q": 2, "r": want}))
 
 
@@ -116,7 +116,8 @@ def test_combined_oracle_linear_in_superposed_direction():
     out = apply_combined_oracle(state, pi)
     manual = apply_oracle(project(state, "b", (0,)), pi, "forward") + \
         apply_oracle(project(state, "b", (1,)), pi, "backward")
-    # the same projections, moves and sums in the same order
+    # the projected sum adds each moved amplitude to an exact 0 from the other
+    # direction's half, which leaves the value the gather moves there
     assert same(out, manual)
 
 
@@ -166,6 +167,25 @@ def test_measurement_branches_partition_norm():
     branches = list(measurement_branches(state, ("q",)))
     assert len(branches) == 4
     assert abs(sum(s.norm_sq() for _, s in branches) - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data(),
+       st.integers(0, 2 ** 32 - 1))
+def test_measurement_branches_match_the_projecting_reference(dims, data, seed):
+    # amplitudes of size ~1, exact zeros and ~1e-9 (probability ~1e-18, below
+    # BRANCH_CUT), so outcomes lie far above or far below the cut
+    r = Registers([(f"e{i}", d) for i, d in enumerate(dims)])
+    names = tuple(data.draw(st.lists(st.sampled_from(r.names), min_size=1, unique=True)))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=r.dims) + 1j * rng.normal(size=r.dims)
+    amps *= rng.choice([1.0, 0.0, 1e-9], size=r.dims)
+    state = StateVector(r, amps)
+    got = list(measurement_branches(state, names))
+    want = list(reference_branches(state, names))
+    assert [value for value, _ in got] == [value for value, _ in want]
+    for (_, branch), (_, reference) in zip(got, want):
+        assert branch.regs == r and np.array_equal(branch.amps, reference.amps)
 
 
 def test_sample_measurement_collapses(seed=3):
@@ -254,7 +274,8 @@ def gather_layouts(draw):
     counts): q, r, an optional key register and up to three other registers
     in any order, so registers lie before, between and after the query and
     response and r may come before q; the index registers are any of the
-    trial, key and first other register, in any order."""
+    trial, key and first other register, in any order with the trial
+    register, if drawn, first (the one order `gather` takes)."""
     n = draw(st.sampled_from([1, 2, 4, 8, 16]))
     specs = [("q", n), ("r", n)]
     if draw(st.booleans()):
@@ -263,6 +284,7 @@ def gather_layouts(draw):
     specs = draw(st.permutations(specs))
     names = {name for name, _ in specs}
     index = draw(st.lists(st.sampled_from([TRIAL] + sorted(names & {"k", "e0"})), unique=True))
+    index.sort(key=lambda name: name != TRIAL)
     rows = draw(st.lists(st.integers(1, 5), max_size=3))
     rows.insert(draw(st.integers(0, len(rows))), 1)
     return specs, tuple(index), n, rows
@@ -294,12 +316,16 @@ def test_one_gather_layout_per_register_layout_whatever_the_row_count():
         for count in (3, 1, 7, 2, 7, 5):
             regs = Registers([(TRIAL, count), ("b", 2), ("q", 4), ("r", 4)])
             state = StateVector(regs, rng.normal(size=regs.dims) + 0j)
-            tables = rng.integers(0, 4, size=(2, count, 4))
-            # one table for all rows, one per row, and one per (b, row): the
-            # last restacked with the rows outermost
-            for index, table in (((), tables[0, 0]), ((TRIAL,), tables[0]), (("b", TRIAL), tables)):
+            tables = rng.integers(0, 4, size=(count, 2, 4))
+            # one table for all rows, one per row, and one per (row, b)
+            for index, table in (((), tables[0, 0]), ((TRIAL,), tables[:, 0]),
+                                 ((TRIAL, "b"), tables)):
                 assert gather(state, table, index).amps.tobytes() == \
                     reference_gather(state, table, index).amps.tobytes()
+            # the rows indexed after another register: the one order refused
+            with pytest.raises(DomainError, match=r"\('b', '_trial'\) indexes the leading "
+                                                  r"register '_trial' after another"):
+                gather(state, tables.swapaxes(0, 1), ("b", TRIAL))
         assert len(qsim._GATHER_LAYOUTS) == 3
         # each entry covers the largest batch seen: 7 rows of 32 amplitudes
         assert {len(layout[0]) for layout in qsim._GATHER_LAYOUTS.values()} == {7 * 32}

@@ -18,9 +18,11 @@ from permlift.sponge import (
     load_vectors,
     pgv,
     pgv_group,
+    save_vectors,
     sponge,
     sponge_call_count,
     sponge_search_stats,
+    sponge_vector,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sponge_vectors.json")
@@ -85,6 +87,17 @@ def test_golden_vectors():
             anchor["out_bits"]) == (2, 2, 1, 2)
     assert anchor["perm"] == list(range(16))
     assert anchor["digest"] == 3 and anchor["calls"] == 1
+
+
+def test_golden_vectors_are_rebuilt_byte_for_byte(tmp_path):
+    vectors = load_vectors(GOLDEN)
+    rebuilt = [sponge_vector(SpongeParams(v["rate"], v["capacity"], v["in_bits"], v["out_bits"]),
+                             Permutation(v["perm"]), v["message"]) for v in vectors]
+    path = tmp_path / "sponge_vectors.json"
+    save_vectors(rebuilt, path)
+    with open(GOLDEN, "rb") as golden:
+        assert path.read_bytes() == golden.read()
+    assert load_vectors(path) == vectors
 
 
 def test_search_stats_descriptive():
