@@ -333,13 +333,15 @@ class PermutationStack:
     :class:`Permutation`, a stack is edited in place, one edit per row.  A
     row read in part, as a :class:`PartialPermutation` is, holds -1 at every
     point not read yet, in `fwd` and `inv` alike; it is passed with its `inv`.
+    Both tables are C-contiguous, so that an edit writes them through one
+    flat index.
     """
 
     __slots__ = ("fwd", "inv")
 
     def __init__(self, fwd: np.ndarray, inv: Optional[np.ndarray] = None):
-        self.fwd = fwd
-        self.inv = np.argsort(fwd, axis=-1) if inv is None else inv
+        self.fwd = np.ascontiguousarray(fwd)
+        self.inv = np.argsort(fwd, axis=-1) if inv is None else np.ascontiguousarray(inv)
 
     @classmethod
     def random(cls, rows: int, n: int, rng) -> "PermutationStack":
@@ -384,12 +386,26 @@ class PermutationStack:
 
     def reprogram(self, rows, keys, xs, ys) -> None:
         """`reprogram` of each listed row under its key, in place: x goes to
-        y and the old preimage of y to the old pi(x).  Rows must be distinct."""
-        old, pre = self.fwd[rows, keys, xs], self.inv[rows, keys, ys]
-        self.fwd[rows, keys, pre] = old
-        self.inv[rows, keys, old] = pre
-        self.fwd[rows, keys, xs] = ys
-        self.inv[rows, keys, ys] = xs
+        y and the old preimage of y to the old pi(x).  Rows must be distinct.
+        `keys`, `xs` and `ys` broadcast against `rows`, and any other shape
+        is an IndexError, as it is for a three-array index.
+
+        Each table is read and written through one flat index,
+        ``(row * K + key) * n + x`` with K tables per row, into a view of
+        the whole stack."""
+        width, n = self.fwd.shape[1:]
+        fwd, inv = self.fwd.reshape(-1), self.inv.reshape(-1)
+        try:
+            at = (np.asarray(rows) * width + keys) * n
+            at_x, at_y = at + xs, at + ys
+        except ValueError as mismatch:
+            raise IndexError(f"edits shaped {np.shape(xs)} for rows shaped "
+                             f"{np.shape(rows)}") from mismatch
+        old, pre = fwd.take(at_x), inv.take(at_y)
+        fwd[at + pre] = old
+        inv[at + old] = pre
+        fwd[at_x] = ys
+        inv[at_y] = xs
 
 
 def reprogram(pi: Permutation, x: int, y: int) -> Permutation:

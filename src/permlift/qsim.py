@@ -245,7 +245,9 @@ def _gather_layout(regs: Registers, index: tuple, query: str, response: str, siz
     `regs`, the index arrays covering at least `size` amplitudes: resp is
     None and base the flat index when stride is a power of two, and the
     stacked tables have n entries each, `cells` in all.  The leading
-    register, if an index register, is the first one."""
+    register, if an index register, is the first one.  A decomposition plan
+    (`simulators._decomposition_plan`) reads its gather off this layout once
+    per circuit and k."""
     key = (regs.names, regs.dims[1:], index, query, response)
     layout = _GATHER_LAYOUTS.get(key)
     if layout is None or len(layout[0]) < size:

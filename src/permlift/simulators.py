@@ -26,9 +26,9 @@ from .circuits import BACKWARD, FORWARD, NormalFormCircuit, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import (Cipher, CountingOracle, PartialPermutation, Permutation, PermutationStack,
                     hit_miss_queries)
-from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, batch_rows, batch_state,
-                   branch_rows, gather, measure_distribution, project_rows, require_oracle_key,
-                   sample_rows, zero_state)
+from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, _gather_layout, batch_rows,
+                   batch_state, branch_rows, gather, measure_distribution, project_rows,
+                   require_oracle_key, sample_rows, zero_state)
 
 HIT = 0
 MISS = 1
@@ -584,13 +584,21 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
     circuit and k, built once and kept on the circuit.
 
     Returns (the choices in `sim_choice_space` order, their signs, the batch
-    registers with a row per choice, the query values shaped to broadcast
-    along the query axis, one step per slot).  A step is the slot's
-    direction and unitary, each row's fired set as a bit mask, the rows
-    that project, their index and hit/miss, and the shape that broadcasts
-    the projecting rows' values against the query values.  Index j has
-    fired by slot i if it was guessed at an earlier slot, or at slot i with
-    the reprogramming before the answer.
+    registers with a row per choice, the start rows, the query values shaped
+    to broadcast along the query axis, the gather layout, one step per slot).
+
+    A call's tables are one flat array, the 2^k partial forward tables by
+    fired-set bit mask and then the 2^k inverse ones, and its points one
+    vector: the forward hit values of the k indices, their forward miss
+    values, then the backward hit and miss values.  A step is the slot's
+    cell map (each amplitude's entry of the tables, at its row's fired set
+    and its query value: `qsim`'s gather layout over the row register with
+    the fired set in place of the row), which rows project, each projecting
+    row's point index (None at a step where no row projects) and the slot's
+    unitary; the layout (base, resp, stride) turns a table entry into the
+    amplitude's source as `qsim.gather` does.  Index j has fired by slot i
+    if it was guessed at an earlier slot, or at slot i with the
+    reprogramming before the answer.
     """
     plan = circuit.decomposition_plans.get(k)
     if plan is None:
@@ -599,17 +607,31 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
         slots, miss, after = (column[picks] for column in _menu_columns(circuit.num_slots, True))
         bits = 1 << np.arange(k)
         regs = Registers(((TRIAL, len(choices)),) + circuit.regs.specs())
+        dims = regs.dims
+        per_row = (-1,) + (1,) * (len(dims) - 1)
         axis = 1 + circuit.regs.axis(circuit.query)
-        values = np.arange(regs.dims[axis]).reshape(
-            [-1 if a == axis else 1 for a in range(len(regs.dims))])
+        values = np.arange(dims[axis]).reshape([-1 if a == axis else 1 for a in range(len(dims))])
+        size = math.prod(dims)
+        cell, base, resp, stride, n, _ = _gather_layout(regs, (TRIAL,), circuit.query,
+                                                        circuit.response, size)
+        row, x = np.divmod(cell[:size].reshape(dims), n)
+        layout = (base[:size].reshape(dims), None if resp is None else resp[:size].reshape(dims),
+                  stride)
         steps = []
         for i, tag in enumerate(circuit.slot_tags, start=1):
+            back = int(tag == BACKWARD)
             fired = (((0 < slots) & (slots < i)) | ((slots == i) & (after == 0))) @ bits
+            cells = ((back << k) + fired)[row] * n + x
             proj, j = np.nonzero(slots == i)
-            steps.append((tag, circuit.unitaries[i], fired, proj, j, miss[proj, j],
-                          (len(proj),) + (1,) * (len(regs.dims) - 1)))
+            point = np.zeros(len(choices), dtype=np.int64)
+            point[proj] = (2 * back + miss[proj, j]) * k + j
+            steps.append((cells, (slots == i).any(axis=1).reshape(per_row),
+                          point.reshape(per_row) if len(proj) else None, circuit.unitaries[i]))
+        start = np.broadcast_to(circuit.start, dims).copy()
+        for kept in (start, *(step[0] for step in steps)):  # read by every call
+            kept.flags.writeable = False
         plan = circuit.decomposition_plans[k] = (choices, [c.sign() for c in choices], regs,
-                                                 values, steps)
+                                                 start, values, layout, steps)
     return plan
 
 
@@ -631,8 +653,11 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     slot's unitary: at two slots and k=2, 2 batch steps on 49 rows.  Each
     component is a view of its row, the same sequence of operations as a
     `run_with_insertions` call for its choice.  What depends on the circuit
-    and k alone, from each row's fired sets to the batch registers, is the
-    circuit's plan (`_decomposition_plan`), built once.
+    and k alone, from the start rows to each amplitude's table entry at each
+    slot, is the circuit's plan (`_decomposition_plan`), built once; a call
+    builds the 2^k partial tables in each direction and the 4k hit and miss
+    values, and per slot makes one masked multiply, one take of the table
+    entries and one take of the amplitudes.
     """
     if not (isinstance(base, Permutation) and isinstance(target, Permutation)):
         raise PreconditionError(
@@ -641,7 +666,8 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)
-    choices, signs, regs, values, steps = _decomposition_plan(circuit, len(xs))
+    choices, signs, regs, start, values, (base_at, resp, stride), steps = \
+        _decomposition_plan(circuit, len(xs))
     # the 2^k partial tables, indexed by the fired set's bit mask: each table
     # so far edited by each hit pair in turn, as `reprogram` edits it
     fwd, inv = [base.fwd], [base.inv]
@@ -653,15 +679,23 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
             f[x], i[y] = y, x
             fwd.append(f)
             inv.append(i)
-    tables = {FORWARD: np.array(fwd), BACKWARD: np.array(inv)}
-    points = {FORWARD: np.array([hm.x_hit, hm.x_miss]), BACKWARD: np.array([hm.y_hit, hm.y_miss])}
-    # a copy: the circuit's start is read-only, and the rows are written
-    amps = np.broadcast_to(circuit.start, regs.dims).copy()
-    for tag, unitary, fired, proj, j, miss, shape in steps:
+    tables = np.array(fwd + inv).ravel()
+    if resp is None:
+        tables *= stride
+    points = np.array(hm.x_hit + hm.x_miss + hm.y_hit + hm.y_miss)
+    amps = start.copy()
+    for cells, projects, point, unitary in steps:
         # only guessed rows get a Projector's mask: a factor 1 can turn -0.0 to 0.0
-        amps[proj] *= points[tag][miss, j].reshape(shape) == values
-        amps = unitary.apply(gather(StateVector.wrap(regs, amps), tables[tag][fired],
-                                    (TRIAL,), circuit.query, circuit.response)).amps
+        if point is not None:
+            np.multiply(amps, points.take(point) == values, out=amps, where=projects)
+        source = tables.take(cells)
+        if resp is None:
+            source ^= base_at
+        else:
+            source ^= resp
+            source *= stride
+            source += base_at
+        amps = unitary.apply(StateVector.wrap(regs, amps.take(source))).amps
     return list(zip(choices, signs, StateVector.rows(circuit.regs, amps)))
 
 

@@ -277,16 +277,31 @@ def test_sign_that_ignores_after_flags_is_caught(monkeypatch, fresh_plan, adv):
 
 
 NEIGHBOUR_ROW = {
-    "table": ("tables[tag][fired]", "tables[tag][np.roll(fired, 1)]"),
-    "mask": ("points[tag][miss, j]", "points[tag][np.roll(miss, 1), np.roll(j, 1)]"),
+    # row r's cells read row r - 1's partial table
+    "table": ("((back << k) + fired)[row]", "((back << k) + np.roll(fired, 1))[row]"),
+    # each projecting row gets the hit or miss value of the one before it
+    "mask": ("point[proj] = ", "point[np.roll(proj, 1)] = "),
 }
 
 
+@pytest.fixture
+def fresh_cross_check_plans():
+    """`fresh_plan` for every circuit of CROSS_CHECK: a test that plants a
+    fault in how a plan is built clears the plans after planting it, and
+    again when it ends."""
+    def clear():
+        for adv, _ in CROSS_CHECK:
+            adv.circuit.decomposition_plans.clear()
+    yield clear
+    clear()
+
+
 @pytest.mark.parametrize("part", NEIGHBOUR_ROW)
-def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, part):
+def test_row_that_reads_its_neighbours_table_or_mask_is_caught(monkeypatch, fresh_cross_check_plans,
+                                                               part):
     # each row runs under its own partial table and projection
-    planted(monkeypatch, "decompose_state", *NEIGHBOUR_ROW[part])
-    monkeypatch.setitem(globals(), "decompose_state", simulators.decompose_state)
+    planted(monkeypatch, "_decomposition_plan", *NEIGHBOUR_ROW[part])
+    fresh_cross_check_plans()
     for adv, k in CROSS_CHECK:
         with pytest.raises(AssertionError):
             test_trie_components_equal_one_run_per_choice(adv, k)
@@ -325,15 +340,17 @@ GATHER_FAULTS = {"neighbour-row": neighbour_row_layout, "smaller-layout": smalle
 
 
 @pytest.mark.parametrize("fault", GATHER_FAULTS)
-def test_gather_fault_fails_the_component_cross_check(monkeypatch, fault):
+def test_gather_fault_fails_the_component_cross_check(monkeypatch, fresh_cross_check_plans, fault):
     # the reference runs one unbatched state per choice, which neither fault
     # touches.  Each adversary runs k=1, then k=2 on more rows, on a fresh
-    # plant, so k=2 gets the smaller layout k=1 left.
+    # plant, so k=2 gets the smaller layout k=1 left.  A plan holds the
+    # layout it was built on, so each plant clears the plans.
     failed = []
     for adv, k in CROSS_CHECK:
         if k == 1:
             monkeypatch.undo()
             GATHER_FAULTS[fault](monkeypatch)
+            fresh_cross_check_plans()
         try:
             test_trie_components_equal_one_run_per_choice(adv, k)
         except AssertionError:
@@ -411,6 +428,7 @@ def gates(draw):
 
 
 def build_circuit(segments, tags, registers=REGISTERS):
+    dims = dict(registers)
     b = CircuitBuilder(registers)
     for i, segment in enumerate(segments):
         if i:
@@ -427,7 +445,7 @@ def build_circuit(segments, tags, registers=REGISTERS):
             elif g[0] == "superposition":
                 b.gate(superposition_gate("q", 4, sorted(g[1])))
             else:
-                b.gate(controlled_xor_gate(g[1], g[2], (DIMS[g[1]], DIMS[g[2]]),
+                b.gate(controlled_xor_gate(g[1], g[2], (dims[g[1]], dims[g[2]]),
                                            lambda s, off=g[3]: off[s]))
     return QuantumAdversary(b.build(), x_regs=("q",), z_regs=("a",))
 
@@ -447,6 +465,27 @@ def test_decomposition_identity_on_generated_circuits(data):
     assert decomposition_residual(adv, base, target, xs) < 1e-9
     assert as_bytes(decompose_state(adv, base, target, xs)) == \
         as_bytes(reference_components(adv, base, target, xs))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_odd_response_stride_decomposes_as_one_run_per_choice(k):
+    # a register of dimension 3 after the response makes its stride odd, so
+    # the gather cannot XOR the flat index and goes through the response
+    # values instead (`qsim._flat_layout`'s resp); no battery circuit does
+    segments = [
+        [("superposition", {0, 1, 3}), ("hadamard", "r"), ("basis_perm", "a", (2, 0, 1)),
+         ("phase", ("a", "q"), frozenset({(2, 1), (2, 3)}), np.pi / 2)],
+        [("controlled_xor", "a", "q", (0, 3, 1)), ("hadamard", "q")],
+        [("swap",), ("phase", ("q", "r"), frozenset({(0, 1), (3, 2)}), 1.0)],
+    ]
+    adv = build_circuit(segments, [FORWARD, BACKWARD], (("q", 4), ("r", 4), ("a", 3)))
+    regs = adv.circuit.regs
+    assert regs.dims[regs.axis("r") + 1:] == (3,)
+    for xs in ((0, 1, 2, 3)[:k], (3, 1, 0, 2)[:k]):
+        for base, target in sampled_good_pairs(xs):
+            assert as_bytes(decompose_state(adv, base, target, xs)) == \
+                as_bytes(reference_components(adv, base, target, xs))
+            assert decomposition_residual(adv, base, target, xs) < 1e-9
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from permlift.errors import CapabilityError, DomainError, PreconditionError
 from permlift.perms import (
     BLOCK_ROWS,
+    Cipher,
     HitMiss,
     PartialPermutation,
     Permutation,
@@ -258,6 +259,43 @@ def test_stack_row_edit_is_reprogram_on_every_case():
         edited = reprogram(pi, x, y)
         assert tuple(stack.fwd[row, 0].tolist()) == edited.fwd
         assert tuple(stack.inv[row, 0].tolist()) == edited.inv
+
+
+def test_stack_edit_under_a_key_touches_that_table_alone():
+    # every (row, key, x, y) over three random 3-key ciphers at n=4: an edit
+    # lands in its own row's table for its key, and no other table moves
+    rng = np.random.default_rng(11)
+    ciphers = [Cipher.random(3, 4, rng) for _ in range(3)]
+    for r, key, x, y in itertools.product(range(3), range(3), range(4), range(4)):
+        stack = PermutationStack.of(ciphers)
+        stack.reprogram(np.array([r]), key, x, y)
+        want = [c.reprogram(key, x, y) if i == r else c for i, c in enumerate(ciphers)]
+        assert stack.fwd.tolist() == [[list(p.fwd) for p in c.perms] for c in want]
+        assert stack.inv.tolist() == [[list(p.inv) for p in c.perms] for c in want]
+
+
+def test_stack_of_partial_tables_is_edited_in_place():
+    # `of` cuts forward and inverse tables out of one array; the edit must
+    # land in the stack, not in a copy of a strided view
+    pis = [Permutation((1, 2, 3, 0)), Permutation((3, 0, 2, 1))]
+    stack = PermutationStack.of([PartialPermutation.from_table(pi.fwd) for pi in pis])
+    assert stack.fwd.flags.c_contiguous and stack.inv.flags.c_contiguous
+    stack.reprogram(np.arange(2), 0, np.array([0, 2]), np.array([2, 2]))
+    assert [tuple(row[0]) for row in stack.fwd.tolist()] == [pis[0].reprogram(0, 2).fwd,
+                                                              pis[1].reprogram(2, 2).fwd]
+    assert [tuple(row[0]) for row in stack.inv.tolist()] == [pis[0].reprogram(0, 2).inv,
+                                                              pis[1].reprogram(2, 2).inv]
+
+
+def test_stack_edits_of_no_rows_or_the_wrong_count():
+    stack = PermutationStack.random(3, 4, np.random.default_rng(2))
+    before = stack.copy()
+    none = np.zeros(0, dtype=np.int64)
+    stack.reprogram(none, none, none, none)
+    assert stack.fwd.tolist() == before.fwd.tolist() and stack.inv.tolist() == before.inv.tolist()
+    # as for a three-array index, edits must broadcast against the rows
+    with pytest.raises(IndexError, match="edits shaped"):
+        stack.reprogram(np.arange(3), 0, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
 
 
 def test_stack_draws_as_permutation_random_does():

@@ -37,6 +37,10 @@ from permlift.qsim import (
 )
 
 
+#: The unit roundoff of a double, which the derived tolerances below count in.
+U = 2.0 ** -53
+
+
 def regs(n, extra=()):
     return Registers((("q", n), ("r", n)) + tuple(extra))
 
@@ -157,8 +161,13 @@ def test_subnormalized_distribution_sums_to_norm():
     state = hadamard_gate("q", 4).apply(zero_state(r))
     cut = project(state, "q", (0, 1))
     dist = measure_distribution(cut, ("q", "r"))
-    assert abs(dist.sum() - cut.norm_sq()) < 1e-12
-    assert abs(cut.norm_sq() - 0.5) < 1e-12
+    # both square the same amplitudes (the projection multiplies each by an
+    # exact 1 or 0) and add two equal squares to exact zeros: equal to the bit
+    assert dist.sum() == cut.norm_sq()
+    # each kept amplitude is fl(h * h) with h = fl(1 / fl(sqrt 2)), 1/2 to a
+    # relative 5u (u = 2^-53), so its square is 1/4 to 11u, and the two add
+    # exactly: 1/2 to 11u / 2 ~ 6.1e-16 (2.2e-16 seen)
+    assert abs(cut.norm_sq() - 0.5) <= 11 * U / 2
 
 
 def test_measurement_branches_partition_norm():
@@ -166,7 +175,10 @@ def test_measurement_branches_partition_norm():
     state = hadamard_gate("q", 4).apply(zero_state(r))
     branches = list(measurement_branches(state, ("q",)))
     assert len(branches) == 4
-    assert abs(sum(s.norm_sq() for _, s in branches) - 1.0) < 1e-12
+    # each branch keeps one amplitude, whose square is 1/4 to 11u (see
+    # above); the four add with two more roundings of at most u each:
+    # 1 to 13u ~ 1.4e-15 (4.4e-16 seen)
+    assert abs(sum(s.norm_sq() for _, s in branches) - 1.0) <= 13 * U
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,11 +269,21 @@ def test_gates_on_non_leading_targets_match_einsum(targets, transposed):
     cases = [(LocalUnitary(targets, matrix), matrix),
              (BasisMap(targets, table), perm_matrix),
              (DiagonalPhase(targets, phases), np.diag(phases.reshape(-1)))]
+    # an output amplitude is a sum of d complex products m_ij a_j, which each
+    # side rounds by at most sqrt(2) (d + 2) u sum_j |m_ij| |a_j| <=
+    # sqrt(2) (d + 2) u |a|, the rows of a unitary having unit norm: the two
+    # differ by at most twice that, 3.1e-14 to 6.2e-14 here (9.2e-16 seen)
+    bound = 2 * math.sqrt(2) * (d + 2) * U * np.linalg.norm(state.amps)
     for gate, op in cases:
         expected = einsum_reference(op.reshape(dims + dims), targets, state.amps)
         got = gate.apply(state)
         assert got.amps.shape == state.regs.dims
-        np.testing.assert_allclose(got.amps, expected, rtol=0, atol=1e-12)
+        if isinstance(gate, BasisMap):
+            # a basis map moves amplitudes, and the reference multiplies each
+            # by an exact 1 and adds exact zeros: equal to the bit
+            np.testing.assert_array_equal(got.amps, expected)
+        else:
+            np.testing.assert_allclose(got.amps, expected, rtol=0, atol=bound)
 
 
 # ---------------------------------------------------------------------------
