@@ -272,7 +272,11 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
 
     Each side runs its trials in batches of `qsim.batch_rows` (32 at n=16):
     per batch, the uniform targets are drawn, then one `sample_quantum_batch`
-    (`LiftedAdversary.run_batch` on the lifted side) runs every trial.
+    (`LiftedAdversary.run_batch` on the lifted side) runs every trial.  A
+    batch's generator is consumed row by row: at each guessed slot one
+    uniform per guessing row, in row order (`qsim.sample_rows`), and at the
+    end one per row for its output (`qsim.draw_rows`).  The reports of a
+    seed are pinned in `tests/golden/mc_reports.json`.
     """
     if trials < 1:
         raise PreconditionError(f"monte-carlo lifting needs trials >= 1, got {trials}")

@@ -311,7 +311,7 @@ def _marginal(regs: Registers, probs: np.ndarray, names: Sequence[str]) -> np.nd
     drop = tuple(i for i in range(len(regs.dims)) if i not in axes)
     marg = probs.sum(axis=drop) if drop else probs
     kept_sorted = sorted(axes)
-    return np.transpose(marg, [kept_sorted.index(a) for a in axes])
+    return marg.transpose([kept_sorted.index(a) for a in axes])
 
 
 def project(state: StateVector, name: str, kept: Iterable[int]) -> StateVector:
@@ -344,7 +344,7 @@ def measurement_branches(state: StateVector, names: Sequence[str]):
 
 def sample_measurement(state: StateVector, names: Sequence[str], rng):
     """Sample one outcome and return it with the renormalized collapsed state:
-    `sample_rows` on a batch of one."""
+    `sample_rows` on a batch of one, which leaves `state` untouched."""
     values, collapsed = sample_rows(batch_state(state, 1), names, rng)
     out = int(values[0, 0]) if len(names) == 1 else tuple(int(v) for v in values[0])
     return out, StateVector.wrap(state.regs, collapsed.amps[0])
@@ -384,37 +384,52 @@ def _projector(regs: Registers, names: Sequence[str], measured: np.ndarray,
     shape = [1] * len(regs.dims)
     for a in axes:
         shape[a] = regs.dims[a]
-    return keep.reshape(dims).transpose(np.argsort(axes)).reshape(shape)
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    return keep.reshape(dims).transpose(order).reshape(shape)
+
+
+def draw_rows(batch: StateVector, names: Sequence[str], rng, live=None):
+    """One draw per row of a batch state from the row's Born-rule
+    distribution over the named registers, or with `live`, a bool per row,
+    one per live row in row order; the batch is only read.
+
+    Returns (values, probs): values is an int array of shape (rows,
+    len(names)), -1 on a row not drawn, and probs the Born probability of
+    each draw, one per drawn row.  A draw reads only its own row: one
+    uniform double against the row's cumulative distribution, the draw
+    ``rng.choice`` makes for one outcome.
+    """
+    size = len(batch.amps)
+    if live is None:
+        drawn, amps = np.arange(size), batch.amps
+    else:
+        drawn = live.nonzero()[0]
+        amps = batch.amps[drawn]
+    marg = _marginal(batch.regs, np.abs(amps) ** 2, (TRIAL,) + tuple(names))
+    flat = marg.reshape(len(drawn), math.prod(marg.shape[1:]))
+    cdf = (flat / flat.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    picks = (cdf <= rng.random(len(drawn))[:, None]).sum(axis=1)
+    values = np.full((size, len(names)), -1, dtype=np.int64)
+    values[drawn] = np.column_stack(np.unravel_index(picks, marg.shape[1:]))
+    return values, flat[np.arange(len(drawn)), picks]
 
 
 def sample_rows(batch: StateVector, names: Sequence[str], rng, live=None):
-    """Measure the named registers of every row of a batch state, with one
-    draw per row from the row's Born-rule distribution.
+    """Measure the named registers of every row of a batch state, or with
+    `live` of the live rows only: `draw_rows`, then each drawn row collapses.
 
-    Returns (values, collapsed): values is an int array of shape (rows,
-    len(names)), and each measured row of `collapsed` is projected onto its
-    values and renormalized.  With `live`, a bool per row, only the live
-    rows are measured, drawn in row order; the others keep their amplitudes
-    and read -1.  Each draw is one uniform double against the row's
-    cumulative distribution, the draw ``rng.choice`` makes for one outcome.
+    Returns (values, batch): values as `draw_rows` gives them, and `batch`
+    with each drawn row overwritten, in place, by its `project_rows`
+    projection onto its values scaled by 1/sqrt of the draw's probability,
+    so renormalized.  The other rows keep their amplitudes untouched.
     """
-    regs = batch.regs
-    probs = np.abs(batch.amps) ** 2
-    marg = _marginal(regs, probs, (TRIAL,) + tuple(names))
-    size = len(marg)
-    measured = np.arange(size) if live is None else np.flatnonzero(live)
-    flat = marg.reshape(size, -1)[measured]
-    cdf = np.cumsum(flat / flat.sum(axis=1, keepdims=True), axis=1)
-    cdf /= cdf[:, -1:]
-    picks = (cdf <= rng.random(len(measured))[:, None]).sum(axis=1)
-    # a drawn row's squared norm after projection is the probability of its draw
-    scale = np.ones(size)
-    scale[measured] = 1.0 / np.sqrt(flat[np.arange(len(measured)), picks])
-    values = np.full((size, len(names)), -1, dtype=np.int64)
-    values[measured] = np.column_stack(np.unravel_index(picks, marg.shape[1:]))
-    keep = _projector(regs, names, measured, picks)
-    scale = scale.reshape((-1,) + (1,) * (keep.ndim - 1))
-    return values, StateVector.wrap(regs, batch.amps * (keep * scale))
+    values, probs = draw_rows(batch, names, rng, live)
+    drawn = (values[:, 0] >= 0).nonzero()[0]
+    if len(drawn):
+        scale = (1.0 / np.sqrt(probs)).reshape((-1,) + (1,) * (batch.amps.ndim - 1))
+        batch.amps[drawn] = project_rows(batch, names, drawn, values[drawn]).amps * scale
+    return values, batch
 
 
 def branch_rows(batch: StateVector, names: Sequence[str], live):
@@ -444,7 +459,7 @@ def project_rows(batch: StateVector, names: Sequence[str], rows: np.ndarray,
     its `values` of the named registers and not renormalized; a row whose
     values are -1 is copied whole."""
     regs = Registers(((TRIAL, len(rows)),) + batch.regs.specs()[1:])
-    measured = np.flatnonzero(values[:, 0] >= 0)
+    measured = (values[:, 0] >= 0).nonzero()[0]
     outcomes = np.ravel_multi_index(tuple(values[measured].T), [regs.dim(n) for n in names])
     return StateVector.wrap(regs, batch.amps[rows] * _projector(regs, names, measured, outcomes))
 

@@ -27,8 +27,8 @@ from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import (Cipher, CountingOracle, PartialPermutation, Permutation, PermutationStack,
                     hit_miss_queries)
 from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, _gather_layout, batch_rows,
-                   batch_state, branch_rows, gather, measure_distribution, project_rows,
-                   require_oracle_key, sample_rows, zero_state)
+                   batch_state, branch_rows, draw_rows, gather, measure_distribution,
+                   project_rows, require_oracle_key, sample_rows, zero_state)
 
 HIT = 0
 MISS = 1
@@ -393,8 +393,9 @@ def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces
     indices; None guesses nothing) and reads `external` row r.  A slot is
     one gather from the rows' tables and one pass of its gates (`_answer`).
     At a slot some rows guess, their query registers are measured first:
-    with `rng` by one draw per row (`qsim.sample_rows`), else by a split
-    (`_split`) whose parts are made one at a time and go on depth first.
+    with `rng` by one draw per guessing row, the other rows untouched
+    (`qsim.sample_rows`), else by a split (`_split`) whose parts are made
+    one at a time and go on depth first.
     `traces`, one list per row of `base`, receive the records of its final
     rows, in row order.
     """
@@ -518,12 +519,13 @@ def sample_quantum_batch(adv: QuantumAdversary, base: PermutationStack, rng,
                          external: Optional[_CountedReads] = None,
                          traces: Optional[Sequence[list]] = None) -> tuple:
     """One sampled measure-and-reprogram run per row of `base`: the walk
-    (`_walk`) with one draw per row at each measurement, then one row-wise
-    draw of the outputs.  Row r guesses the choice `picks[r]`, menu indices
-    as `sample_sim_choices` draws them (None: the plain circuit), and reads
-    `external` row r.  Returns (xs, z), int arrays with one row per trial."""
+    (`_walk`) with one draw per guessing row at each measurement, then one
+    row-wise draw of the outputs (`qsim.draw_rows`, no collapse).  Row r
+    guesses the choice `picks[r]`, menu indices as `sample_sim_choices`
+    draws them (None: the plain circuit), and reads `external` row r.
+    Returns (xs, z), int arrays with one row per trial."""
     (rows,) = _walk(adv, base, picks, external, traces, rng)
-    values, _ = sample_rows(rows.state, adv.x_regs + adv.z_regs, rng)
+    values, _ = draw_rows(rows.state, adv.x_regs + adv.z_regs, rng)
     return values[:, :len(adv.x_regs)], values[:, len(adv.x_regs):]
 
 

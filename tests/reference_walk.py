@@ -5,13 +5,15 @@ forks of a lazily read target, no trace.  Its measurement splits a state one
 projection per register (`measurement_branches`) and it scores a final state
 by its output marginal (`output_distribution`), apart from the batched
 `branch_rows`/`project_rows` and `exact_outcomes` of the engine.  The tests
-check the batched walk in `permlift.simulators` against it.
+check the batched walk in `permlift.simulators` against it, and the batched
+draw `permlift.qsim.sample_rows` against `reference_sample_rows`.
 """
 
 import numpy as np
 
 from permlift.circuits import FORWARD
-from permlift.qsim import BRANCH_CUT, apply_oracle, measure_distribution, project, zero_state
+from permlift.qsim import (BRANCH_CUT, Registers, StateVector, apply_oracle,
+                           measure_distribution, project, zero_state)
 from permlift.simulators import MISS
 
 
@@ -28,6 +30,33 @@ def measurement_branches(state, names):
             sub = project(sub, name, (int(v),))
         out = values[0] if len(names) == 1 else tuple(int(v) for v in values)
         yield out, sub
+
+
+def reference_sample_rows(batch, names, rng, live=None):
+    """`sample_rows` one row at a time: (values, amplitudes).
+
+    Each live row in row order (every row without `live`) takes one uniform
+    double against the cumulative distribution of its own Born marginal over
+    the named registers, is projected onto the drawn values one register at
+    a time and is scaled by 1/sqrt of the draw's probability.  Other rows
+    read -1 and keep their amplitudes."""
+    amps = batch.amps.copy()
+    regs = Registers(batch.regs.specs()[1:])
+    values = np.full((len(amps), len(names)), -1, dtype=np.int64)
+    for r in range(len(amps)):
+        if live is not None and not live[r]:
+            continue
+        row = StateVector(regs, amps[r])
+        marg = measure_distribution(row, names)
+        flat = marg.reshape(-1)
+        cdf = np.cumsum(flat / flat.sum())
+        cdf /= cdf[-1]
+        pick = int((cdf <= rng.random()).sum())
+        values[r] = np.unravel_index(pick, marg.shape)
+        for name, v in zip(names, values[r]):
+            row = project(row, name, (int(v),))
+        amps[r] = row.amps * (1.0 / np.sqrt(flat[pick]))
+    return values, amps
 
 
 def output_distribution(adv, state) -> dict:

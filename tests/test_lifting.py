@@ -131,7 +131,10 @@ def test_quantum_mr_inequality_per_instance():
                 continue
             checked += 1
             lhs, rhs = mr_check(adv, rel, base, target, (1,))
-            assert lhs >= rhs / (8 * adv.queries + 1) ** 2 - 1e-12
+            # no slack: lhs reads 0.2 or 0.4 and rhs / 81 at most 1/81, a
+            # margin of 0.18 or more, while each side sums at most 5 choices
+            # x 4 branches x 16 outputs and rounds by well under 1e-13
+            assert lhs >= rhs / (8 * adv.queries + 1) ** 2
     assert checked > 5
 
 
@@ -504,10 +507,13 @@ def exact_sides():
 
 
 def _sigmas(exact, estimate, trials):
-    """|estimate - exact| in binomial sigmas of `trials` draws at p = exact."""
+    """|estimate - exact| in binomial sigmas of `trials` draws at p = exact.
+
+    Sigma is 0 only at p exactly 0 or 1, where every draw must go one way,
+    so the estimate (a count over `trials`) must equal p exactly."""
     gap = abs(estimate - exact)
     sigma = math.sqrt(exact * (1 - exact) / trials)
-    return gap / sigma if sigma > 0 else (0.0 if gap < 1e-9 else math.inf)
+    return gap / sigma if sigma > 0 else (0.0 if gap == 0 else math.inf)
 
 
 def _mc_gaps(exact_sides):
