@@ -292,7 +292,7 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
             total += _batch_wins(rel, targets, run(targets, rng))
         return total
 
-    p_a = wins(rng_a, lambda targets, rng: sample_quantum_batch(adv, targets, rng)) / trials
+    p_a = wins(rng_a, lambda targets, rng: sample_quantum_batch(adv, targets, rng)[:2]) / trials
     p_b = wins(rng_b, lifted.run_batch) / trials
     factor = quantum_factor(n, adv.queries, k)
     var_a = p_a * (1 - p_a) / trials

@@ -220,16 +220,24 @@ def gather(state: StateVector, tables: np.ndarray, index: Sequence[str],
     if tables.size != cells:
         raise DomainError(f"gather over {tuple(index)} needs {cells // n} tables, "
                           f"got {tables.size // n}")
-    source = tables.ravel().take(cell[:size])
+    source = _gather_sources(tables.ravel().take(cell), base, resp, stride)
+    return StateVector.wrap(regs, state.amps.take(source).reshape(regs.dims))
+
+
+def _gather_sources(entries: np.ndarray, base: np.ndarray, resp: Optional[np.ndarray],
+                   stride: int) -> np.ndarray:
+    """`gather`'s source index of each amplitude from its table entry in
+    `entries`, in place, by a `_gather_layout`'s rule: base and resp are
+    shaped as `entries`."""
     if resp is None:
         if stride > 1:
-            source *= stride
-        source ^= base[:size]
+            entries *= stride
+        entries ^= base
     else:
-        source ^= resp[:size]
-        source *= stride
-        source += base[:size]
-    return StateVector.wrap(regs, state.amps.take(source).reshape(regs.dims))
+        entries ^= resp
+        entries *= stride
+        entries += base
+    return entries
 
 
 #: `gather`'s flat indices, one entry per register layout without the count
@@ -241,11 +249,12 @@ _GATHER_LAYOUTS: dict = {}
 
 
 def _gather_layout(regs: Registers, index: tuple, query: str, response: str, size: int):
-    """(cell, base, resp, stride, n, cells) for `gather` on states on
-    `regs`, the index arrays covering at least `size` amplitudes: resp is
+    """(cell, base, resp, stride, n, cells) for `gather` on states of `size`
+    amplitudes on `regs`, the index arrays one entry per amplitude: resp is
     None and base the flat index when stride is a power of two, and the
     stacked tables have n entries each, `cells` in all.  The leading
-    register, if an index register, is the first one.  A decomposition plan
+    register, if an index register, is the first one; (base, resp, stride)
+    is the rule of `_gather_sources`.  A decomposition plan
     (`simulators._decomposition_plan`) reads its gather off this layout once
     per circuit and k."""
     key = (regs.names, regs.dims[1:], index, query, response)
@@ -255,7 +264,7 @@ def _gather_layout(regs: Registers, index: tuple, query: str, response: str, siz
     cell, base, resp, stride, n, cells = layout
     if index[:1] == regs.names[:1]:
         cells *= regs.dims[0]
-    return cell, base, resp, stride, n, cells
+    return cell[:size], base[:size], None if resp is None else resp[:size], stride, n, cells
 
 
 def _flat_layout(regs: Registers, index: tuple, query: str, response: str) -> tuple:
@@ -603,13 +612,6 @@ class Unitary:
         for g in self.gates:
             state = g.apply(state)
         return state
-
-    def then(self, *gates: Gate) -> "Unitary":
-        return Unitary(self.gates + tuple(gates))
-
-    @staticmethod
-    def identity() -> "Unitary":
-        return Unitary(())
 
 
 def hadamard_gate(target: str, dim: int) -> LocalUnitary:

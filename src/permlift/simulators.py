@@ -26,8 +26,8 @@ from .circuits import BACKWARD, FORWARD, NormalFormCircuit, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import (Cipher, CountingOracle, PartialPermutation, Permutation, PermutationStack,
                     hit_miss_queries)
-from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, _gather_layout, batch_rows,
-                   batch_state, branch_rows, draw_rows, gather, measure_distribution,
+from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, _gather_layout, _gather_sources,
+                   batch_rows, batch_state, branch_rows, draw_rows, gather, measure_distribution,
                    project_rows, require_oracle_key, sample_rows, zero_state)
 
 HIT = 0
@@ -193,20 +193,9 @@ def _trace_entry(slot: int, tag: str, point: Optional[tuple], edit: Optional[tup
     return entry
 
 
-class _InterceptingOracle:
-    """Oracle view handed to a classical adversary by the simulator."""
-
-    def __init__(self, sim_state):
-        self._s = sim_state
-
-    def forward(self, *point: int) -> int:
-        return self._s.answer(FORWARD, point)
-
-    def backward(self, *point: int) -> int:
-        return self._s.answer(BACKWARD, point)
-
-
 class _ClassicalSimState:
+    """The simulator's oracle, as a classical adversary queries it."""
+
     def __init__(self, base, target, choice, budget, trace):
         self.base = base
         self.target = target
@@ -218,7 +207,13 @@ class _ClassicalSimState:
         self.trace = trace
         self.count = 0
 
-    def answer(self, tag: str, point: tuple) -> int:
+    def forward(self, *point: int) -> int:
+        return self._answer(FORWARD, point)
+
+    def backward(self, *point: int) -> int:
+        return self._answer(BACKWARD, point)
+
+    def _answer(self, tag: str, point: tuple) -> int:
         if len(point) != self.arity:
             raise PreconditionError(f"a {type(self.base).__name__} oracle takes {self.arity} "
                                     f"query argument(s), not {len(point)}")
@@ -249,8 +244,7 @@ def run_classical_sim(adv: ClassicalAdversary, base, target,
         raise PreconditionError("choice references slots beyond the adversary budget")
     if choice.after_flags is not None:
         raise PreconditionError("the classical simulator carries no timing flags")
-    state = _ClassicalSimState(base, target, choice, adv.budget, trace)
-    return adv.run(_InterceptingOracle(state), rng)
+    return adv.run(_ClassicalSimState(base, target, choice, adv.budget, trace), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -326,63 +320,50 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
         raise DomainError("sample mode needs an rng")
     if lazy:
         raise PreconditionError("sample mode needs a concrete target")
-    xs, z = sample_quantum_batch(adv, PermutationStack.of([base]), rng,
-                                 _choice_picks([choice], circuit.num_slots),
-                                 _CountedReads(PermutationStack.of([target])), traces)
+    xs, z, _ = sample_quantum_batch(adv, PermutationStack.of([base]), rng,
+                                    _choice_picks([choice], circuit.num_slots),
+                                    PermutationStack.of([target]), traces)
     return tuple(xs[0].tolist()), tuple(z[0].tolist())
 
 
-class _CountedReads:
-    """The external oracles of a batch, one per row, read only through
-    `read`, which counts every read against its row.  A lazily read row
-    holds -1 where unread, and the exact walk forks it before each read."""
+class _Rows:
+    """The rows of a walk: a batch state and, per row, its current tables,
+    external oracle (-1 where a lazy row has not read it), reads of that
+    oracle, fork weight, input row and slot records.  The walk reads what
+    the input row fixes, its base tables and menu picks, at `origin`."""
 
-    def __init__(self, oracles: PermutationStack, calls: Optional[np.ndarray] = None):
-        self.oracles = oracles
-        self.calls = np.zeros(len(oracles), dtype=np.int64) if calls is None else calls
+    def __init__(self, state, tables, external, calls, weight, origin, traces):
+        self.state, self.tables, self.external, self.calls = state, tables, external, calls
+        self.weight, self.origin, self.traces = weight, origin, traces
 
-    def read(self, rows, keys, points, forward) -> np.ndarray:
-        self.calls[rows] += 1  # a read's rows are distinct
-        return self.oracles.lookup(rows, keys, points, forward)
+    def take(self, index, state) -> "_Rows":
+        """The rows `index` (a row may repeat), copied, with batch state `state`."""
+        return _Rows(state, self.tables.take(index), self.external.take(index), self.calls[index],
+                     self.weight[index], self.origin[index],
+                     None if self.traces is None else [list(self.traces[r]) for r in index])
 
 
 def _read_points(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
                  base: PermutationStack) -> tuple:
     """Where each guessed row reads the external oracle, and whether forward:
     a hit reads at the query value in the slot's direction; a miss routes
-    the value through the row's internal base table first, then reads in
-    the opposite direction."""
+    the value through the row's internal base table (`base` row `rows`)
+    first, then reads in the opposite direction."""
     forward = np.full(len(rows), tag == FORWARD)
     flip = miss == MISS
     points = np.where(flip, base.lookup(rows, keys, points, forward), points)
     return points, forward ^ flip
 
 
-def _edit_rows(tag: str, miss: np.ndarray, rows: np.ndarray, keys, points: np.ndarray,
-               base: PermutationStack, external: _CountedReads) -> tuple:
-    """`_reprogram_edit` for the guessed rows of a walk: arrays (xs, ys) of
-    the edits x -> y under each row's key, read at its `_read_points`."""
-    points, forward = _read_points(tag, miss, rows, keys, points, base)
-    values = external.read(rows, keys, points, forward)
+def _edit_rows(tag: str, miss: np.ndarray, hit: np.ndarray, keys, points: np.ndarray,
+               base: PermutationStack, rows: _Rows) -> tuple:
+    """`_reprogram_edit` for the guessed rows `hit` of a walk: arrays (xs, ys)
+    of the edits x -> y under each row's key, read at its `_read_points`
+    and counted in ``rows.calls``."""
+    points, forward = _read_points(tag, miss, rows.origin[hit], keys, points, base)
+    rows.calls[hit] += 1  # a read's rows are distinct
+    values = rows.external.lookup(hit, keys, points, forward)
     return np.where(forward, points, values), np.where(forward, values, points)
-
-
-class _Rows:
-    """The rows of a walk: a batch state and, per row, its current and base
-    tables, external oracle, menu picks and their slots, input row, fork
-    weight and slot records."""
-
-    def __init__(self, state, tables, base, external, picks, slots, origin, weight, traces):
-        self.state, self.tables, self.base, self.external = state, tables, base, external
-        self.picks, self.slots, self.origin = picks, slots, origin
-        self.weight, self.traces = weight, traces
-
-    def take(self, index, state) -> "_Rows":
-        """The rows `index` (a row may repeat), copied, with batch state `state`."""
-        external = _CountedReads(self.external.oracles.take(index), self.external.calls[index])
-        return _Rows(state, self.tables.take(index), self.base.take(index), external,
-                     self.picks[index], self.slots[index], self.origin[index], self.weight[index],
-                     None if self.traces is None else [list(self.traces[r]) for r in index])
 
 
 def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces, rng=None):
@@ -390,12 +371,13 @@ def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces
     state; yields the rows at the circuit's end, in parts, in row order.
 
     Row r starts from base row r, guesses the choice `picks[r]` (menu
-    indices; None guesses nothing) and reads `external` row r.  A slot is
-    one gather from the rows' tables and one pass of its gates (`_answer`).
-    At a slot some rows guess, their query registers are measured first:
-    with `rng` by one draw per guessing row, the other rows untouched
-    (`qsim.sample_rows`), else by a split (`_split`) whose parts are made
-    one at a time and go on depth first.
+    indices; None guesses nothing) and reads `external` row r; a final row
+    that read it more than k times (k the picks' width) is a ProtocolError.
+    A slot is one gather from the rows' tables and one pass of its gates
+    (`_answer`).  At a slot some rows guess, their query registers are
+    measured first: with `rng` by one draw per guessing row, the other rows
+    untouched (`qsim.sample_rows`), else by a split (`_split`) whose parts
+    are made one at a time and go on depth first.
     `traces`, one list per row of `base`, receive the records of its final
     rows, in row order.
     """
@@ -404,40 +386,41 @@ def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces
         raise PreconditionError(f"{base.fwd.shape[1]} table(s) per row do not match the "
                                 "circuit's key register")
     size = len(base)
-    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), size)
     picks = np.zeros((size, 0), dtype=np.int64) if picks is None else picks
-    slots = _menu_columns(circuit.num_slots, True)[0][picks]
-    rows = _Rows(state, base.copy(), base, external, picks, slots, np.arange(size),
-                 np.ones(size), None if traces is None else [[] for _ in range(size)])
-    pending = [iter([(rows, 1, None)])]
-    while pending:
-        item = next(pending[-1], None)
-        if item is None:
-            pending.pop()
-            continue
-        rows, start, values = item
+    # each input row's menu pick at each slot: 0, the menu's "no guess", at
+    # a slot it does not guess
+    guess = np.zeros((size, circuit.num_slots + 1), dtype=np.int64)
+    guess[np.arange(size)[:, None], _menu_columns(circuit.num_slots, True)[0][picks]] = picks
+    state = batch_state(circuit.unitaries[0].apply(zero_state(circuit.regs)), size)
+
+    def run(rows: _Rows, start: int, values: Optional[np.ndarray]):
+        """The walk of `rows` from slot `start`, measured there to `values`
+        if given."""
         for i in range(start, circuit.num_slots + 1):
             if values is None:
-                live = (rows.slots == i).any(axis=1)
-                hit = np.flatnonzero(live)
-                if len(hit) and rng is None:
-                    pending.append(_split(adv, rows, i, live))
-                    break
-                if len(hit):
+                live = guess[rows.origin, i] > 0
+                if live.any():
+                    if rng is None:
+                        for part, measured in _split(adv, base, guess, rows, i, live):
+                            yield from run(part, i, measured)
+                        return
                     values, rows.state = sample_rows(rows.state, circuit.query_registers(), rng,
                                                      live)
-            else:
-                hit = np.flatnonzero(values[:, 0] >= 0)
-            _answer(adv, rows, i, hit, values)
+            _answer(adv, base, guess, rows, i, values)
             values = None
-        else:
-            for origin, records in zip(rows.origin, rows.traces or ()):
-                traces[origin].extend(records)
-            yield rows
+        _within_budget(rows.calls, picks.shape[1])
+        for origin, records in zip(rows.origin, rows.traces or ()):
+            traces[origin].extend(records)
+        yield rows
+
+    yield from run(_Rows(state, base.copy(), external, np.zeros(size, dtype=np.int64),
+                         np.ones(size), np.arange(size),
+                         None if traces is None else [[] for _ in range(size)]), 1, None)
 
 
-def _split(adv: QuantumAdversary, rows: _Rows, i: int, live: np.ndarray):
-    """Slot i's measurement in exact mode: yields (rows, i, values) for parts
+def _split(adv: QuantumAdversary, base: PermutationStack, guess: np.ndarray, rows: _Rows, i: int,
+           live: np.ndarray):
+    """Slot i's measurement in exact mode: yields (rows, values) for parts
     of at most `qsim.batch_rows` rows, in row order.
 
     Each live row splits into one row per measured value (`qsim.branch_rows`),
@@ -453,11 +436,10 @@ def _split(adv: QuantumAdversary, rows: _Rows, i: int, live: np.ndarray):
     src, values = branch_rows(rows.state, measured, live)
     hit = np.flatnonzero(values[:, 0] >= 0)
     at = src[hit]
-    pick = rows.picks[at, (rows.slots[at] == i).argmax(axis=1)]
     keys = values[hit, 0] if circuit.key else np.zeros(len(hit), dtype=np.int64)
-    points, forward = _read_points(circuit.slot_tags[i - 1], miss_of[pick], at, keys,
-                                   values[hit, -1], rows.base)
-    mask, weight = rows.external.oracles.forks(at, keys, points, forward)
+    points, forward = _read_points(circuit.slot_tags[i - 1], miss_of[guess[rows.origin[at], i]],
+                                   rows.origin[at], keys, values[hit, -1], base)
+    mask, weight = rows.external.forks(at, keys, points, forward)
     # a measured branch goes on as one row per fork, any other row as itself
     n = mask.shape[1]
     fan = np.zeros((len(src), n + 1), dtype=bool)
@@ -471,31 +453,31 @@ def _split(adv: QuantumAdversary, rows: _Rows, i: int, live: np.ndarray):
     for begin in range(0, len(branch), size):
         b, f = branch[begin:begin + size], fork[begin:begin + size]
         part = rows.take(src[b], project_rows(rows.state, measured, src[b], values[b]))
-        part.weight = part.weight * weights[b]
+        part.weight *= weights[b]
         forked, h = np.flatnonzero(f < n), read[b[f < n]]
         xs = np.where(forward[h], points[h], f[forked])
         ys = np.where(forward[h], f[forked], points[h])
-        part.external.oracles.fwd[forked, keys[h], xs] = ys
-        part.external.oracles.inv[forked, keys[h], ys] = xs
-        yield part, i, values[b]
+        part.external.fwd[forked, keys[h], xs] = ys
+        part.external.inv[forked, keys[h], ys] = xs
+        yield part, values[b]
 
 
-def _answer(adv: QuantumAdversary, rows: _Rows, i: int, hit: np.ndarray,
+def _answer(adv: QuantumAdversary, base: PermutationStack, guess: np.ndarray, rows: _Rows, i: int,
             values: Optional[np.ndarray]) -> None:
-    """Slot i of a walk, in place, after its measurement: each row `hit`
-    measured to its `values` gets its edit (`_edit_rows`), before the slot's
-    one gather from the rows' tables or, for a row guessing "after", after
-    it; then the slot's gates run."""
+    """Slot i of a walk, in place, after its measurement: each row measured
+    to its `values` (-1 on a row not measured; None when none is) gets its
+    edit (`_edit_rows`), before the slot's one gather from the rows' tables
+    or, for a row guessing "after", after it; then the slot's gates run."""
     circuit = adv.circuit
     tag = circuit.slot_tags[i - 1]
     _, miss_of, after_of = _menu_columns(circuit.num_slots, True)
     tables = rows.tables
+    hit = [] if values is None else np.flatnonzero(values[:, 0] >= 0)
     entries = {}
     if len(hit):
-        pick = rows.picks[hit, (rows.slots[hit] == i).argmax(axis=1)]
+        pick = guess[rows.origin[hit], i]
         keys = values[hit, 0] if circuit.key else np.zeros(len(hit), dtype=np.int64)
-        xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], rows.base,
-                            rows.external)
+        xs, ys = _edit_rows(tag, miss_of[pick], hit, keys, values[hit, -1], base, rows)
         late = after_of[pick] == 1
         tables.reprogram(hit[~late], keys[~late], xs[~late], ys[~late])
         if rows.traces is not None:
@@ -516,17 +498,18 @@ def _answer(adv: QuantumAdversary, rows: _Rows, i: int, hit: np.ndarray,
 
 def sample_quantum_batch(adv: QuantumAdversary, base: PermutationStack, rng,
                          picks: Optional[np.ndarray] = None,
-                         external: Optional[_CountedReads] = None,
+                         external: Optional[PermutationStack] = None,
                          traces: Optional[Sequence[list]] = None) -> tuple:
     """One sampled measure-and-reprogram run per row of `base`: the walk
     (`_walk`) with one draw per guessing row at each measurement, then one
     row-wise draw of the outputs (`qsim.draw_rows`, no collapse).  Row r
     guesses the choice `picks[r]`, menu indices as `sample_sim_choices`
     draws them (None: the plain circuit), and reads `external` row r.
-    Returns (xs, z), int arrays with one row per trial."""
+    Returns (xs, z, calls): int arrays with one row per trial, and each
+    row's reads of `external`."""
     (rows,) = _walk(adv, base, picks, external, traces, rng)
     values, _ = draw_rows(rows.state, adv.x_regs + adv.z_regs, rng)
-    return values[:, :len(adv.x_regs)], values[:, len(adv.x_regs):]
+    return values[:, :len(adv.x_regs)], values[:, len(adv.x_regs):], rows.calls
 
 
 def exact_outcomes(adv: QuantumAdversary, bases: Sequence,
@@ -545,20 +528,18 @@ def exact_outcomes(adv: QuantumAdversary, bases: Sequence,
     reading the target more than k times (k the choices' arity) is a
     ProtocolError.
     """
-    stack = PermutationStack.of(bases)
-    picks = external = None
+    stack = external = PermutationStack.of(bases)
+    picks = None
     if choices is not None:
         picks = _choice_picks(choices, adv.circuit.num_slots)
         external = PermutationStack.of([target]).take(np.zeros(len(bases), dtype=np.int64))
     leaves = []
-    for part in _walk(adv, stack, picks, _CountedReads(stack if external is None else external),
-                      traces):
+    for part in _walk(adv, stack, picks, external, traces):
         marg = measure_distribution(part.state, (TRIAL,) + adv.x_regs + adv.z_regs)
         marg = marg.reshape(len(part.origin), -1)
         leaves.append((part.origin, np.where(marg > BRANCH_CUT, marg, 0.0) * part.weight[:, None],
-                       part.external.calls, part.external.oracles.fwd[:, 0]))
-    groups, probs, calls, reads = map(np.concatenate, zip(*leaves))
-    _within_budget(calls, 0 if picks is None else picks.shape[1])
+                       part.external.fwd[:, 0]))
+    groups, probs, reads = map(np.concatenate, zip(*leaves))
     # the oracle each row is scored against: its own, the target, or the
     # target as the row read it
     labels = bases
@@ -587,7 +568,7 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
 
     Returns (the choices in `sim_choice_space` order, their signs, the batch
     registers with a row per choice, the start rows, the query values shaped
-    to broadcast along the query axis, the gather layout, one step per slot).
+    to broadcast along the query axis, the source rule, one step per slot).
 
     A call's tables are one flat array, the 2^k partial forward tables by
     fired-set bit mask and then the 2^k inverse ones, and its points one
@@ -597,8 +578,8 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
     and its query value: `qsim`'s gather layout over the row register with
     the fired set in place of the row), which rows project, each projecting
     row's point index (None at a step where no row projects) and the slot's
-    unitary; the layout (base, resp, stride) turns a table entry into the
-    amplitude's source as `qsim.gather` does.  Index j has fired by slot i
+    unitary; the source rule turns a table entry into the amplitude's
+    source (`qsim._gather_sources`).  Index j has fired by slot i
     if it was guessed at an earlier slot, or at slot i with the
     reprogramming before the answer.
     """
@@ -614,11 +595,10 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
         axis = 1 + circuit.regs.axis(circuit.query)
         values = np.arange(dims[axis]).reshape([-1 if a == axis else 1 for a in range(len(dims))])
         size = math.prod(dims)
-        cell, base, resp, stride, n, _ = _gather_layout(regs, (TRIAL,), circuit.query,
-                                                        circuit.response, size)
-        row, x = np.divmod(cell[:size].reshape(dims), n)
-        layout = (base[:size].reshape(dims), None if resp is None else resp[:size].reshape(dims),
-                  stride)
+        cell, *rule, n, _ = _gather_layout(regs, (TRIAL,), circuit.query, circuit.response, size)
+        row, x = np.divmod(cell.reshape(dims), n)
+        # the source rule's arrays shaped as the steps' cell maps
+        rule = [a.reshape(dims) if isinstance(a, np.ndarray) else a for a in rule]
         steps = []
         for i, tag in enumerate(circuit.slot_tags, start=1):
             back = int(tag == BACKWARD)
@@ -633,7 +613,7 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
         for kept in (start, *(step[0] for step in steps)):  # read by every call
             kept.flags.writeable = False
         plan = circuit.decomposition_plans[k] = (choices, [c.sign() for c in choices], regs,
-                                                 start, values, layout, steps)
+                                                 start, values, rule, steps)
     return plan
 
 
@@ -668,8 +648,7 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)
-    choices, signs, regs, start, values, (base_at, resp, stride), steps = \
-        _decomposition_plan(circuit, len(xs))
+    choices, signs, regs, start, values, rule, steps = _decomposition_plan(circuit, len(xs))
     # the 2^k partial tables, indexed by the fired set's bit mask: each table
     # so far edited by each hit pair in turn, as `reprogram` edits it
     fwd, inv = [base.fwd], [base.inv]
@@ -682,21 +661,13 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
             fwd.append(f)
             inv.append(i)
     tables = np.array(fwd + inv).ravel()
-    if resp is None:
-        tables *= stride
     points = np.array(hm.x_hit + hm.x_miss + hm.y_hit + hm.y_miss)
     amps = start.copy()
     for cells, projects, point, unitary in steps:
         # only guessed rows get a Projector's mask: a factor 1 can turn -0.0 to 0.0
         if point is not None:
             np.multiply(amps, points.take(point) == values, out=amps, where=projects)
-        source = tables.take(cells)
-        if resp is None:
-            source ^= base_at
-        else:
-            source ^= resp
-            source *= stride
-            source += base_at
+        source = _gather_sources(tables.take(cells), *rule)
         amps = unitary.apply(StateVector.wrap(regs, amps.take(source))).amps
     return list(zip(choices, signs, StateVector.rows(circuit.regs, amps)))
 
@@ -757,8 +728,7 @@ class LiftedAdversary(ClassicalAdversary):
         choice = sample_sim_choice(self.inner.budget, self.k, False, rng)
         out = run_classical_sim(self.inner, base, counter, choice, rng=rng)
         self.last_external_calls = counter.calls
-        if counter.calls > self.k:
-            raise ProtocolError("lifted adversary exceeded its external budget")
+        _within_budget(counter.calls, self.k)
         return out
 
     def run_batch(self, oracles: PermutationStack, rng) -> tuple:
@@ -768,17 +738,15 @@ class LiftedAdversary(ClassicalAdversary):
         rows = len(oracles)
         base = PermutationStack.random(rows, self.domain, rng)
         picks = sample_sim_choices(self.inner.circuit.num_slots, self.k, True, rng, rows)
-        external = _CountedReads(oracles)
-        out = sample_quantum_batch(self.inner, base, rng, picks, external)
-        self.last_external_calls = external.calls
-        _within_budget(external.calls, self.k)
-        return out
+        xs, z, self.last_external_calls = sample_quantum_batch(self.inner, base, rng, picks,
+                                                                oracles)
+        return xs, z
 
 
-def _within_budget(calls: np.ndarray, k: int) -> None:
-    """Refuse a lifted run in which a row read the external oracle more
-    than k times."""
-    if (calls > k).any():
+def _within_budget(calls, k: int) -> None:
+    """Refuse a lifted run in which a row (or the one run, for an int
+    `calls`) read the external oracle more than k times."""
+    if (np.asarray(calls) > k).any():
         raise ProtocolError("lifted adversary exceeded its external budget")
 
 

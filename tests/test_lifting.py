@@ -153,14 +153,15 @@ def test_quantum_mr_reprogrammed_run_wins_reporter():
 def test_quantum_monte_carlo_enforces_the_lifted_budget(monkeypatch):
     # an edit that consults the external oracle twice makes the lifted
     # algorithm spend 2 queries at k=1; Monte Carlo lifting must refuse the run.
-    # The batched walk reads the external tables in `_edit_rows`.
+    # The batched walk reads the external tables, and counts each read, in
+    # `_edit_rows`; the greedy edit makes that read twice.
     from permlift.errors import ProtocolError
 
     real = simulators._edit_rows
 
-    def greedy(tag, miss, rows, keys, points, base, external):
-        external.read(rows, keys, points, np.full(len(rows), tag == "forward"))
-        return real(tag, miss, rows, keys, points, base, external)
+    def greedy(*args):
+        real(*args)
+        return real(*args)
 
     monkeypatch.setattr(simulators, "_edit_rows", greedy)
     with pytest.raises(ProtocolError, match="external budget"):
@@ -211,9 +212,9 @@ def test_exact_lifting_certifies_the_built_lifted_adversary(monkeypatch):
     # still reports holds, and only the comparison with the built object fails
     real = simulators._edit_rows
 
-    def forget(tag, miss, rows, keys, points, base, external):
-        xs, ys = real(tag, miss, rows, keys, points, base, external)
-        external.oracles.fwd[rows, keys, xs] = external.oracles.inv[rows, keys, ys] = -1
+    def forget(tag, miss, hit, keys, points, base, rows):
+        xs, ys = real(tag, miss, hit, keys, points, base, rows)
+        rows.external.fwd[hit, keys, xs] = rows.external.inv[hit, keys, ys] = -1
         return xs, ys
 
     monkeypatch.setattr(simulators, "_edit_rows", forget)
@@ -326,9 +327,25 @@ def test_value_from_the_neighbouring_row_fails_the_cross_check(monkeypatch, lazy
     # each row of the walk gets the read value, or the fork weight, of the
     # row before it
     if taken == "read value":
-        read = simulators._CountedReads.read
-        monkeypatch.setattr(simulators._CountedReads, "read",
-                            lambda self, *args: np.roll(read(self, *args), 1))
+        class Neighbour(PermutationStack):
+            __slots__ = ()
+
+            def lookup(self, *args):
+                return np.roll(super().lookup(*args), 1)
+
+        real = simulators._edit_rows
+
+        def neighbour(tag, miss, hit, keys, points, base, rows):
+            # the edit reads the external tables through a view of them
+            # whose lookups are rolled by a row
+            external, rows.external = rows.external, Neighbour(rows.external.fwd,
+                                                               rows.external.inv)
+            try:
+                return real(tag, miss, hit, keys, points, base, rows)
+            finally:
+                rows.external = external
+
+        monkeypatch.setattr(simulators, "_edit_rows", neighbour)
     else:
         forks = PermutationStack.forks
 

@@ -125,6 +125,20 @@ def test_combined_oracle_linear_in_superposed_direction():
     assert same(out, manual)
 
 
+def test_combined_oracle_with_its_tables_swapped_is_caught(monkeypatch):
+    # the stack (pi^-1, pi) in place of (pi, pi^-1): b=0 queries backward
+    real = qsim.gather
+
+    def swapped(state, tables, index, *rest):
+        return real(state, tables[::-1] if tuple(index) == ("b",) else tables, index, *rest)
+
+    monkeypatch.setattr(qsim, "gather", swapped)
+    with pytest.raises(AssertionError):
+        test_combined_oracle_branches()
+    with pytest.raises(AssertionError):
+        test_combined_oracle_linear_in_superposed_direction()
+
+
 def test_cipher_oracle_matches_per_key_tables():
     r = Registers((("K", 2), ("q", 4), ("r", 4)))
     rng = np.random.default_rng(11)

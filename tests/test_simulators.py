@@ -273,6 +273,19 @@ def test_quantum_reprogram_after_answers_with_old_table():
     assert dist == {((1,), (base(1),)): pytest.approx(1.0)}
 
 
+def test_edits_all_made_before_the_answer_are_caught(monkeypatch):
+    # the after flags ignored: every guessed slot reprograms before its gather
+    real = simulators._menu_columns
+
+    def always_before(num_slots, with_timing):
+        slot, miss, after = real(num_slots, with_timing)
+        return slot, miss, np.zeros_like(after)
+
+    monkeypatch.setattr(simulators, "_menu_columns", always_before)
+    with pytest.raises(AssertionError):
+        test_quantum_reprogram_after_answers_with_old_table()
+
+
 def test_quantum_exact_total_probability_one():
     rng = np.random.default_rng(5)
     adv = qa_basis_probe(4)
@@ -354,10 +367,10 @@ def test_batched_walk_rows_agree_with_exact_statistics(choice):
     rows = 20_000
     pick = simulators._index_menu(2, True).index(
         (choice.slots[0], choice.miss_flags[0], choice.after_flags[0]))
-    external = simulators._CountedReads(PermutationStack(np.tile(target.fwd, (rows, 1, 1))))
-    xs, z = sample_quantum_batch(adv, PermutationStack(np.tile(base.fwd, (rows, 1, 1))),
-                                 np.random.default_rng(15), np.full((rows, 1), pick), external)
-    assert (external.calls == 1).all()
+    xs, z, calls = sample_quantum_batch(adv, PermutationStack(np.tile(base.fwd, (rows, 1, 1))),
+                                        np.random.default_rng(15), np.full((rows, 1), pick),
+                                        PermutationStack(np.tile(target.fwd, (rows, 1, 1))))
+    assert (calls == 1).all()
     counts = Counter(zip(map(tuple, xs.tolist()), map(tuple, z.tolist())))
     # exact mode keeps only outputs above qsim.BRANCH_CUT (below it is rounding
     # noise); the four it keeps are 1/4 each (0.24999999999999978 seen), so
