@@ -26,9 +26,10 @@ from .circuits import BACKWARD, FORWARD, NormalFormCircuit, run_circuit
 from .errors import DomainError, PreconditionError, ProtocolError
 from .perms import (Cipher, CountingOracle, PartialPermutation, Permutation, PermutationStack,
                     hit_miss_queries)
-from .qsim import (BRANCH_CUT, TRIAL, Registers, StateVector, _gather_layout, _gather_sources,
-                   batch_rows, batch_state, branch_rows, draw_rows, gather, measure_distribution,
-                   project_rows, require_oracle_key, sample_rows, zero_state)
+from .qsim import (BRANCH_CUT, TRIAL, BasisMap, ControlledRegisterSwap, DiagonalPhase, Registers,
+                   RegisterSwap, StateVector, Unitary, _gather_layout, _gather_sources, batch_rows,
+                   batch_state, branch_rows, draw_rows, gather, measure_distribution, project_rows,
+                   require_oracle_key, sample_rows, zero_state)
 
 HIT = 0
 MISS = 1
@@ -562,26 +563,50 @@ def exact_outcomes(adv: QuantumAdversary, bases: Sequence,
 # State decomposition
 
 
+def _monomial_run(regs: Registers, gates: Sequence) -> tuple:
+    """The leading run of monomial gates of a unitary (basis maps, register
+    swaps and diagonal phases) as (moves, phases, the gates after it): the
+    run sends amplitude ``moves[o]`` of a state on `regs` (flat indices) to
+    o, then multiplies by each of `phases` in gate order.  The gates
+    themselves move an index probe, and each phase is its gate's table at
+    each amplitude's target values, moved by the gates after it (the gate on
+    a ones probe would turn a -0.0 in the table to 0.0: (1+0j)(-0-1j) = 0-1j)."""
+    probe, phases = np.arange(regs.total_dim).reshape(regs.dims), []
+    for lead, gate in enumerate(gates):
+        if isinstance(gate, DiagonalPhase):
+            phases.append(gate.phases[tuple(np.indices(regs.dims)[regs.axis(t)] for t in gate.targets)])
+        elif isinstance(gate, (BasisMap, RegisterSwap, ControlledRegisterSwap)):
+            probe, *phases = (gate.apply(StateVector.wrap(regs, a)).amps for a in (probe, *phases))
+        else:
+            break
+    else:
+        lead = len(gates)
+    return probe.ravel(), [np.ascontiguousarray(p) for p in phases], gates[lead:]
+
+
 def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
     """What `decompose_state` does alike for every (base, target, xs) of a
     circuit and k, built once and kept on the circuit.
 
     Returns (the choices in `sim_choice_space` order, their signs, the batch
-    registers with a row per choice, the start rows, the query values shaped
-    to broadcast along the query axis, the source rule, one step per slot).
+    registers with a row per choice, the start rows, the one-hot rows, one
+    step per slot).
 
     A call's tables are one flat array, the 2^k partial forward tables by
     fired-set bit mask and then the 2^k inverse ones, and its points one
     vector: the forward hit values of the k indices, their forward miss
-    values, then the backward hit and miss values.  A step is the slot's
+    values, then the backward hit and miss values.  One-hot row v is 1
+    where the query register is v and 0 elsewhere.  A step is the slot's
     cell map (each amplitude's entry of the tables, at its row's fired set
     and its query value: `qsim`'s gather layout over the row register with
-    the fired set in place of the row), which rows project, each projecting
-    row's point index (None at a step where no row projects) and the slot's
-    unitary; the source rule turns a table entry into the amplitude's
-    source (`qsim._gather_sources`).  Index j has fired by slot i
-    if it was guessed at an earlier slot, or at slot i with the
-    reprogramming before the answer.
+    the fired set in place of the row) and source rule (`qsim._gather_sources`),
+    both moved by the leading monomial run of the slot's unitary
+    (`_monomial_run`), which the gather commutes with as it keeps each
+    amplitude's row and query value; then which amplitudes project, each
+    row's point index (None at a step where no row projects), the run's
+    phases and the unitary's later gates (None if there are none).  Index j
+    has fired by slot i if it was guessed at an earlier slot, or at slot i
+    with the reprogramming before the answer.
     """
     plan = circuit.decomposition_plans.get(k)
     if plan is None:
@@ -594,26 +619,29 @@ def _decomposition_plan(circuit: NormalFormCircuit, k: int) -> tuple:
         per_row = (-1,) + (1,) * (len(dims) - 1)
         axis = 1 + circuit.regs.axis(circuit.query)
         values = np.arange(dims[axis]).reshape([-1 if a == axis else 1 for a in range(len(dims))])
-        size = math.prod(dims)
-        cell, *rule, n, _ = _gather_layout(regs, (TRIAL,), circuit.query, circuit.response, size)
+        onehot = (values == values.reshape(per_row)).astype(complex)
+        onehot = np.broadcast_to(onehot, (dims[axis],) + dims[1:]).copy()
+        cell, base, resp, stride, n, _ = _gather_layout(regs, (TRIAL,), circuit.query,
+                                                        circuit.response, math.prod(dims))
         row, x = np.divmod(cell.reshape(dims), n)
-        # the source rule's arrays shaped as the steps' cell maps
-        rule = [a.reshape(dims) if isinstance(a, np.ndarray) else a for a in rule]
         steps = []
         for i, tag in enumerate(circuit.slot_tags, start=1):
             back = int(tag == BACKWARD)
             fired = (((0 < slots) & (slots < i)) | ((slots == i) & (after == 0))) @ bits
-            cells = ((back << k) + fired)[row] * n + x
+            moves, phases, rest = _monomial_run(circuit.regs, circuit.unitaries[i].gates)
+            cells, *rule = (None if a is None else a.reshape(len(choices), -1)[:, moves].reshape(dims)
+                            for a in (((back << k) + fired)[row] * n + x, base, resp))
+            projects = np.broadcast_to((slots == i).any(axis=1).reshape(per_row), dims).copy()
             proj, j = np.nonzero(slots == i)
             point = np.zeros(len(choices), dtype=np.int64)
             point[proj] = (2 * back + miss[proj, j]) * k + j
-            steps.append((cells, (slots == i).any(axis=1).reshape(per_row),
-                          point.reshape(per_row) if len(proj) else None, circuit.unitaries[i]))
+            steps.append((cells, (*rule, stride), projects, point if len(proj) else None, phases,
+                          Unitary(rest) if rest else None))
         start = np.broadcast_to(circuit.start, dims).copy()
-        for kept in (start, *(step[0] for step in steps)):  # read by every call
+        for kept in (start, onehot, *(step[0] for step in steps)):  # read by every call
             kept.flags.writeable = False
         plan = circuit.decomposition_plans[k] = (choices, [c.sign() for c in choices], regs,
-                                                 start, values, rule, steps)
+                                                 start, onehot, steps)
     return plan
 
 
@@ -636,10 +664,12 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     component is a view of its row, the same sequence of operations as a
     `run_with_insertions` call for its choice.  What depends on the circuit
     and k alone, from the start rows to each amplitude's table entry at each
-    slot, is the circuit's plan (`_decomposition_plan`), built once; a call
-    builds the 2^k partial tables in each direction and the 4k hit and miss
-    values, and per slot makes one masked multiply, one take of the table
-    entries and one take of the amplitudes.
+    slot after the slot's leading basis maps, swaps and phases, is the
+    circuit's plan (`_decomposition_plan`), built once.  A call builds the
+    2^k partial tables in each direction and the 4k hit and miss values,
+    and per slot makes one masked multiply, one take of the table entries,
+    one take of the amplitudes and the slot's phase multiplies; the slot's
+    gates from its first dense one on run only where it has them.
     """
     if not (isinstance(base, Permutation) and isinstance(target, Permutation)):
         raise PreconditionError(
@@ -648,7 +678,7 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     hm = hit_miss_queries(base, target, xs)
     circuit = adv.circuit
     require_oracle_key(base, circuit.key)
-    choices, signs, regs, start, values, rule, steps = _decomposition_plan(circuit, len(xs))
+    choices, signs, regs, start, onehot, steps = _decomposition_plan(circuit, len(xs))
     # the 2^k partial tables, indexed by the fired set's bit mask: each table
     # so far edited by each hit pair in turn, as `reprogram` edits it
     fwd, inv = [base.fwd], [base.inv]
@@ -663,12 +693,15 @@ def decompose_state(adv: QuantumAdversary, base: Permutation, target: Permutatio
     tables = np.array(fwd + inv).ravel()
     points = np.array(hm.x_hit + hm.x_miss + hm.y_hit + hm.y_miss)
     amps = start.copy()
-    for cells, projects, point, unitary in steps:
+    for cells, rule, projects, point, phases, rest in steps:
         # only guessed rows get a Projector's mask: a factor 1 can turn -0.0 to 0.0
         if point is not None:
-            np.multiply(amps, points.take(point) == values, out=amps, where=projects)
-        source = _gather_sources(tables.take(cells), *rule)
-        amps = unitary.apply(StateVector.wrap(regs, amps.take(source))).amps
+            np.multiply(amps, onehot.take(points.take(point), axis=0), out=amps, where=projects)
+        amps = amps.take(_gather_sources(tables.take(cells), *rule))
+        for phase in phases:
+            amps *= phase
+        if rest is not None:
+            amps = rest.apply(StateVector.wrap(regs, amps)).amps
     return list(zip(choices, signs, StateVector.rows(circuit.regs, amps)))
 
 

@@ -1,5 +1,6 @@
 """Signed state-decomposition identity and its component bookkeeping."""
 
+import functools
 import inspect
 import itertools
 
@@ -12,11 +13,13 @@ from test_simulators import qa_cipher_reporter
 from permlift import qsim, simulators
 from permlift.battery import (qa_backward_probe, qa_basis_probe, qa_phase_sampler,
                               qa_two_query_prober, qa_value_reporter, quantum_battery)
-from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, Projector, run_circuit, run_with_insertions
-from permlift.errors import PreconditionError
+from permlift.circuits import (BACKWARD, FORWARD, CircuitBuilder, CombinedCircuit, Projector, normalize,
+                               run_circuit, run_with_insertions)
+from permlift.errors import DomainError, PreconditionError
 from permlift.perms import Cipher, Permutation, all_permutations, hit_miss_queries, is_good_pair
-from permlift.qsim import (TRIAL, controlled_xor_gate, dense_matrix, is_unitary_matrix,
-                           superposition_gate)
+from permlift.qsim import (TRIAL, ControlledRegisterSwap, DiagonalPhase, Registers, Unitary,
+                           basis_perm_gate, controlled_phase_gate, controlled_xor_gate, dense_matrix,
+                           hadamard_gate, is_unitary_matrix, superposition_gate)
 from permlift.simulators import (
     HIT,
     QuantumAdversary,
@@ -76,6 +79,35 @@ def test_requires_good_pair():
     ident = Permutation.identity(4)
     with pytest.raises(PreconditionError):
         decompose_state(adv, ident, ident, (0,))
+
+
+BAD_MARKS = {"negative": ((-1,), DomainError), "out-of-range": ((4,), DomainError),
+             "duplicate": ((1, 1), PreconditionError)}
+MARK_CHECKS = {"is_good_pair": is_good_pair, "hit_miss_queries": hit_miss_queries,
+               "decompose_state": functools.partial(decompose_state, qa_value_reporter(4))}
+
+
+@pytest.mark.parametrize("check", MARK_CHECKS)
+@pytest.mark.parametrize("case", BAD_MARKS)
+def test_bad_marks_on_permutations_are_refused(check, case):
+    # plain marks read the tables directly, and a tuple index would wrap -1
+    xs, error = BAD_MARKS[case]
+    with pytest.raises(error):
+        MARK_CHECKS[check](Permutation([1, 2, 3, 0]), Permutation([2, 0, 3, 1]), xs)
+
+
+BAD_CIPHER_MARKS = {"negative": (((0, -1),), DomainError), "out-of-range": (((1, 4),), DomainError),
+                    "duplicate": (((1, 2), (1, 2)), PreconditionError)}
+
+
+@pytest.mark.parametrize("check", ["is_good_pair", "hit_miss_queries"])
+@pytest.mark.parametrize("case", BAD_CIPHER_MARKS)
+def test_bad_marks_on_ciphers_are_refused(check, case):
+    # a decomposition refuses a cipher before it reads a mark
+    xs, error = BAD_CIPHER_MARKS[case]
+    rng = np.random.default_rng(3)
+    with pytest.raises(error):
+        MARK_CHECKS[check](Cipher.random(2, 4, rng), Cipher.random(2, 4, rng), xs)
 
 
 def test_keyed_circuit_is_refused():
@@ -406,8 +438,8 @@ DIMS = dict(REGISTERS)
 
 @st.composite
 def gates(draw):
-    kind = draw(st.sampled_from(["hadamard", "basis_perm", "phase", "swap", "superposition",
-                                 "controlled_xor"]))
+    kind = draw(st.sampled_from(["hadamard", "basis_perm", "phase", "swap", "controlled_swap",
+                                 "superposition", "controlled_xor"]))
     if kind == "hadamard":
         return "hadamard", draw(st.sampled_from(["q", "r", "a"]))
     if kind == "basis_perm":
@@ -419,6 +451,8 @@ def gates(draw):
         return "phase", regs, frozenset(marked), draw(st.sampled_from([np.pi, np.pi / 2, 1.0]))
     if kind == "swap":
         return ("swap",)
+    if kind == "controlled_swap":
+        return "controlled_swap", draw(st.integers(0, 1))
     if kind == "superposition":
         return "superposition", draw(st.sets(st.integers(0, 3), min_size=1))
     source, target = draw(st.sampled_from([("r", "q"), ("q", "r"), ("a", "q"), ("q", "a")]))
@@ -442,6 +476,8 @@ def build_circuit(segments, tags, registers=REGISTERS):
                 b.controlled_phase(g[1], lambda idx, marked=g[2]: idx in marked, g[3])
             elif g[0] == "swap":
                 b.swap("q", "r")
+            elif g[0] == "controlled_swap":
+                b.gate(ControlledRegisterSwap("a", g[1], (("q", "r"),)))
             elif g[0] == "superposition":
                 b.gate(superposition_gate("q", 4, sorted(g[1])))
             else:
@@ -486,6 +522,123 @@ def test_odd_response_stride_decomposes_as_one_run_per_choice(k):
             assert as_bytes(decompose_state(adv, base, target, xs)) == \
                 as_bytes(reference_components(adv, base, target, xs))
             assert decomposition_residual(adv, base, target, xs) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Slots whose leading basis maps, swaps and phases fold into the plan
+
+
+def leading_dense_gates(adv):
+    """How many gates of each slot's unitary run after its monomial run."""
+    return [len(simulators._monomial_run(adv.circuit.regs, u.gates)[2])
+            for u in adv.circuit.unitaries[1:]]
+
+
+def folded_slot_adversary():
+    """Two slots: the first folds a phase, a basis map and a phase, moving
+    the first phase by the map, and runs a Hadamard and a swap after them;
+    the second is monomial throughout, a controlled swap among its gates."""
+    segments = [
+        [("superposition", {0, 1, 3}), ("hadamard", "r"), ("hadamard", "a")],
+        [("phase", ("q", "r"), frozenset({(0, 1), (1, 3), (2, 2)}), np.pi / 2),
+         ("basis_perm", "q", (1, 2, 3, 0)),
+         ("phase", ("a", "q"), frozenset({(1, 0), (0, 2)}), np.pi),
+         ("hadamard", "r"), ("swap",)],
+        [("controlled_swap", 1), ("basis_perm", "r", (2, 0, 3, 1)),
+         ("phase", ("r", "a"), frozenset({(3, 1), (1, 0)}), 1.0)],
+    ]
+    return build_circuit(segments, [FORWARD, BACKWARD])
+
+
+def normalized_adversary():
+    """`normalize` of a two-query combined circuit whose query unitaries are
+    basis maps and phases, so each of its four slots is monomial: the
+    routing swaps, then the original gates.  One phase table holds -1j and
+    its conjugate, whose zero parts are -0.0 and 0.0 exactly."""
+    comb = CombinedCircuit(Registers((("b", 2), ("q", 4), ("r", 4))), (
+        Unitary((hadamard_gate("b", 2), hadamard_gate("q", 4))),
+        Unitary((basis_perm_gate("q", (2, 0, 3, 1)),
+                 controlled_phase_gate(("b", "q"), (2, 4), lambda i: i in {(0, 1), (1, 2)}, np.pi / 2))),
+        Unitary((controlled_phase_gate(("q", "r"), (4, 4), lambda i: i[0] == i[1]),
+                 DiagonalPhase(("r",), np.array([1, -1j, np.conj(-1j), -1])),
+                 basis_perm_gate("r", (1, 0, 3, 2)))),
+    ))
+    return QuantumAdversary(normalize(comb), x_regs=("q",), z_regs=("b",))
+
+
+def equals_one_run_per_choice(adv, k):
+    for xs in ((0, 1, 2, 3)[:k], (3, 1, 0, 2)[:k]):
+        for base, target in sampled_good_pairs(xs):
+            assert as_bytes(decompose_state(adv, base, target, xs)) == \
+                as_bytes(reference_components(adv, base, target, xs))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_folded_slot_decomposes_as_one_run_per_choice(k):
+    adv = folded_slot_adversary()
+    assert leading_dense_gates(adv) == [2, 0]
+    equals_one_run_per_choice(adv, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_normalized_circuit_decomposes_as_one_run_per_choice(k):
+    adv = normalized_adversary()
+    assert leading_dense_gates(adv) == [0, 0, 0, 0]
+    equals_one_run_per_choice(adv, k)
+
+
+FOLD_FAULTS = {
+    # each phase multiplies where its own gate left it, not moved by the
+    # basis maps and swaps after it
+    "phases-not-moved": ("_monomial_run", "probe, *phases = (gate.apply(StateVector.wrap(regs, a)).amps "
+                         "for a in (probe, *phases))", "probe = gate.apply(StateVector.wrap(regs, probe)).amps"),
+    # the run's permutation taken the other way round, as where each
+    # amplitude goes instead of where it comes from
+    "moves-inverted": ("_monomial_run", "return probe.ravel(),", "return np.argsort(probe.ravel()),"),
+    # each phase is its gate on a ones probe, which turns a -0.0 in the
+    # gate's table to 0.0
+    "ones-probe": ("_monomial_run", "phases.append(gate.phases[tuple(np.indices(regs.dims)[regs.axis(t)] "
+                   "for t in gate.targets)])",
+                   "phases.append(gate.apply(StateVector.wrap(regs, np.ones(regs.dims, complex))).amps)"),
+    # each projecting row is masked at the next row's hit or miss value
+    "onehot-neighbour": ("decompose_state", "onehot.take(points.take(point), axis=0)",
+                         "onehot.take(np.roll(points.take(point), 1), axis=0)"),
+}
+#: The cross-checks each fold fault fails.  The battery's one phase before
+#: a swap (phase-sampler's, on q and r) is symmetric in the swapped
+#: registers, and every basis map or swap that leads a battery slot is an
+#: involution, so only the pinned circuits catch the first two.
+FOLD_CAUGHT = {fault: [f"{check}-k{k}" for check in checks for k in (1, 2)] for fault, checks in {
+    "phases-not-moved": ["folded-slot", "normalized"],
+    "moves-inverted": ["folded-slot", "normalized"],
+    "ones-probe": ["normalized"],
+    "onehot-neighbour": ["battery", "folded-slot", "normalized"]}.items()}
+
+
+def battery_equals_one_run_per_choice(k):
+    for adv, adv_k in CROSS_CHECK:
+        if adv_k == k:
+            test_trie_components_equal_one_run_per_choice(adv, k)
+
+
+FOLD_CHECKS = {"battery": battery_equals_one_run_per_choice,
+               "folded-slot": lambda k: equals_one_run_per_choice(folded_slot_adversary(), k),
+               "normalized": lambda k: equals_one_run_per_choice(normalized_adversary(), k)}
+
+
+@pytest.mark.parametrize("fault", FOLD_FAULTS)
+def test_fold_fault_fails_the_component_cross_check(monkeypatch, fresh_cross_check_plans, fault):
+    name, old, new = FOLD_FAULTS[fault]
+    planted(monkeypatch, name, old, new)
+    monkeypatch.setitem(globals(), "decompose_state", simulators.decompose_state)
+    fresh_cross_check_plans()
+    failed = []
+    for check, k in itertools.product(FOLD_CHECKS, (1, 2)):
+        try:
+            FOLD_CHECKS[check](k)
+        except AssertionError:
+            failed.append(f"{check}-k{k}")
+    assert failed == FOLD_CAUGHT[fault]
 
 
 @settings(max_examples=50, deadline=None)
