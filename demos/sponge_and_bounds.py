@@ -3,7 +3,8 @@
 
 Traces one sponge evaluation block by block, evaluates the Davies-Meyer and
 PGV compression functions, and prints the bound calculators with both the
-raw rational value and the probability clamp.
+raw rational value and the probability clamp, with the exact p_max of the
+preimage and collision relations that the sponge lifting bound takes.
 """
 
 from fractions import Fraction
@@ -16,12 +17,11 @@ from permlift.bounds import (
     double_sided_zero_bound,
     fixed_point_bound,
     icm_collision_bound,
-    p_max_bound,
-    preimage_relation,
     sponge_collision_bound,
     sponge_lift_bound,
     sponge_preimage_bound,
 )
+from permlift.games import multi_collision_relation, p_max_bound, preimage_relation
 from permlift.perms import Cipher, CountingOracle, Permutation
 from permlift.sponge import (
     DAVIES_MEYER_SELECTOR,
@@ -65,8 +65,13 @@ show("fixed point on 2^20 elements, q=100", fixed_point_bound(100, 1 << 20))
 sp = SpongeParams(24, 64, 20, 24)  # single round: one absorb, one squeeze
 show("sponge preimage (r=24, c=64, q=2)", sponge_preimage_bound(sp, 2))
 show("sponge collision (r=24, c=64, q=2)", sponge_collision_bound(sp, 2))
-# at enumerable widths the exact p_max matches the closed form 2/2^n
-assert p_max_bound(preimage_relation(6, 8), "k1") == Fraction(2, 1 << 8)
+# p_max is exact for a games.Relation over the digest domain 2^out_bits; at
+# enumerable widths it matches the closed forms 2/2^n (preimage, one grid
+# of 2^8 x 2^8 cells) and 6/2^n (collision, every ordered digest pair)
+assert p_max_bound(preimage_relation(8), "k1") == Fraction(2, 1 << 8)
+assert p_max_bound(multi_collision_relation(8, 2), "output_only") == Fraction(6, 1 << 8)
 show("general sponge lift at the preimage p_max",
      sponge_lift_bound(sp, 2, 1, Fraction(2, 1 << sp.out_bits)))
+show("general sponge lift at the collision p_max",
+     sponge_lift_bound(sp, 2, 2, Fraction(6, 1 << sp.out_bits)))
 show("compression-function collision, 32-bit block, q=8", icm_collision_bound(32, 8))

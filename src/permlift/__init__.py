@@ -7,7 +7,6 @@ from .bounds import (
     fixed_point_bound,
     generalized_search_bound,
     icm_collision_bound,
-    p_max_bound,
     sponge_collision_bound,
     sponge_lift_bound,
     sponge_multi_collision_bound,
@@ -30,6 +29,7 @@ from .games import (
     best_k_classical,
     game_bound,
     get_game,
+    p_max_bound,
     r_max,
     relation_double_sided_zero,
     relation_fixed_point,

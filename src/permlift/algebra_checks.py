@@ -134,6 +134,7 @@ def check_inverse_law(n: int, max_k: int = 2) -> CheckResult:
 
     if max_k >= 1:
         walk(root, 1)
+    del walk  # the recursive closure holds its own cell, and with it the tables
     return CheckResult("inverse-law", cases, violations, f"n={n}, k<={max_k}")
 
 

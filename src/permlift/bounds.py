@@ -2,19 +2,17 @@
 
 Every calculator returns a Fraction; clamping to [0, 1] happens only in
 reports.  The sponge bound takes the optimal k-classical-query success
-probability against the corresponding random-oracle relation as an input,
-and the named corollaries specialize it.
+probability against the corresponding random-oracle relation as an input
+(`games.p_max_bound`), and the named corollaries specialize it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .errors import CapabilityError, DomainError, PreconditionError
+from .errors import DomainError
 
 
 def clamp01(value: Fraction) -> Fraction:
@@ -124,73 +122,3 @@ def icm_collision_bound(n_bits: int, q: int) -> Fraction:
     if (1 << n_bits) <= 4:
         raise DomainError("collision bound needs a block space larger than 4")
     return Fraction(6 * (8 * q + 1) ** 4, (1 << n_bits) - 4)
-
-
-# ---------------------------------------------------------------------------
-# Optimal classical success against a random function (p_max inputs)
-
-
-@dataclass(frozen=True)
-class HashRelation:
-    """A winning predicate over ((x_1..x_k), (y_1..y_k)) for hash games."""
-
-    name: str
-    k: int
-    in_bits: int
-    out_bits: int
-    pred: Callable[[tuple, tuple], bool]
-
-
-def preimage_relation(in_bits: int, out_bits: int, image: int = 0) -> HashRelation:
-    return HashRelation("preimage", 1, in_bits, out_bits,
-                        lambda xs, ys: ys[0] == image)
-
-
-def collision_relation(in_bits: int, out_bits: int) -> HashRelation:
-    # output-only: the inputs do not enter the predicate
-    return HashRelation("collision", 2, in_bits, out_bits,
-                        lambda xs, ys: ys[0] == ys[1])
-
-
-def multi_collision_relation(in_bits: int, out_bits: int, k: int) -> HashRelation:
-    return HashRelation(
-        f"{k}-collision", k, in_bits, out_bits,
-        lambda xs, ys: len(set(ys)) == 1,
-    )
-
-
-def empty_hash_relation(in_bits: int, out_bits: int) -> HashRelation:
-    return HashRelation("empty", 1, in_bits, out_bits, lambda xs, ys: False)
-
-
-def p_max_bound(rel: HashRelation, kind: str) -> Fraction:
-    """Closed-form bound on the optimal k-classical-query success probability.
-
-    kind="k1": 2 max_x Pr_y[(x, y) wins], exactly enumerated.
-    kind="output_only": C(2k, k) Pr_{y_1..y_k}[some ordering wins], for
-    relations that ignore the inputs.
-    """
-    n_out = 1 << rel.out_bits
-    if kind == "k1":
-        if rel.k != 1:
-            raise PreconditionError("k1 bound needs a k=1 relation")
-        if rel.in_bits + rel.out_bits > 22:
-            raise CapabilityError(f"input/output grid of {1 << (rel.in_bits + rel.out_bits)} "
-                                  f"cells exceeds the ceiling {1 << 22}")
-        best = Fraction(0)
-        for x in range(1 << rel.in_bits):
-            hits = sum(1 for y in range(n_out) if rel.pred((x,), (y,)))
-            best = max(best, Fraction(hits, n_out))
-        return 2 * best
-    if kind == "output_only":
-        if rel.k * rel.out_bits > 16:
-            raise CapabilityError(f"output tuple space of {1 << (rel.k * rel.out_bits)} "
-                                  f"tuples exceeds the ceiling {1 << 16}")
-        xs = tuple(range(rel.k))
-        hits = 0
-        for ys in itertools.product(range(n_out), repeat=rel.k):
-            if any(rel.pred(xs, tuple(ys[i] for i in order))
-                   for order in itertools.permutations(range(rel.k))):
-                hits += 1
-        return math.comb(2 * rel.k, rel.k) * Fraction(hits, n_out ** rel.k)
-    raise DomainError(f"unknown p_max kind {kind!r}")

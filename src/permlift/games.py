@@ -1,34 +1,47 @@
 """Search games over permutation oracles: relations, optima, and bound reports.
 
 A relation holds triples (xs, ys, z) with xs the adversary's marked outputs,
-ys their images under the external permutation, and z an auxiliary value.
-``best_k_classical`` computes the exact optimal success probability of an
-adaptive deterministic k-query adversary by game-tree search over the
-permutation as read so far.
+ys their images under the external permutation (or a hash), and z an
+auxiliary value.  ``best_k_classical`` computes the exact optimal success
+probability of an adaptive deterministic k-query adversary by game-tree
+search over the permutation as read so far.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .bounds import clamp01, generalized_search_bound
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, PreconditionError
 from .perms import PartialPermutation
 
 Z_TRIVIAL = ((),)
+#: Most cells a relation is evaluated on at once: r_max reaches n = 4096.
+CELL_CEILING = 1 << 24
+
+
+def _within_cells(cells: int, what: str) -> None:
+    if cells > CELL_CEILING:
+        raise CapabilityError(f"{what} of {cells} cells exceeds the cell ceiling {CELL_CEILING}")
 
 
 @dataclass(frozen=True)
 class Relation:
     """A decidable winning predicate over (xs, ys, z) with a finite z menu.
 
+    ``pred(xs, ys, z)`` takes tuples of ints (`wins`), or of int arrays that
+    broadcast together (`holds`), and is elementwise: ``&``, not ``and``.
     ``known_r_max`` carries a closed-form max row/column degree for builders
-    that have one; :func:`r_max` stays a pure enumeration so the two can be
+    that have one; :func:`r_max` stays an enumeration so the two can be
     checked against each other.
     """
 
@@ -41,6 +54,20 @@ class Relation:
 
     def wins(self, xs: tuple, ys: tuple, z: tuple) -> bool:
         return bool(self.pred(tuple(xs), tuple(ys), tuple(z)))
+
+    def holds(self, xs: tuple, ys: tuple, z: tuple) -> np.ndarray:
+        """One predicate call on arrays, broadcast to their shape."""
+        shape = np.broadcast_shapes(*map(np.shape, (*xs, *ys, *z)))
+        return np.broadcast_to(self.pred(xs, ys, z), shape)
+
+    def share(self, read: PartialPermutation, xs: tuple, z: tuple, unit=1):
+        """The share of the completions of `read` (`PartialPermutation.images`)
+        against which (xs, z) wins: exact for unit Fraction(1), else a float."""
+        ys, count = read.images(xs)
+        won = self.pred(xs, ys, z)
+        # one verdict, where the predicate reads no unread mark, holds for all
+        hits = int(np.count_nonzero(won)) if getattr(won, "ndim", 0) else count * bool(won)
+        return unit * hits / count
 
 
 def relation_fixed_point(n: int) -> Relation:
@@ -60,7 +87,7 @@ def relation_double_sided_zero(n_half: int) -> Relation:
     mask = (1 << n_half) - 1
     return Relation(
         "double-sided-zero", 1, n,
-        lambda xs, ys, z: (xs[0] & mask) == 0 and (ys[0] & mask) == 0,
+        lambda xs, ys, z: ((xs[0] & mask) == 0) & ((ys[0] & mask) == 0),
         known_r_max=1 << n_half,
     )
 
@@ -86,13 +113,11 @@ def relation_xor_shift(n: int) -> Relation:
                     known_r_max=1)
 
 
-def relation_from_pairs(name: str, n: int, pairs: Sequence[Sequence[int]],
-                        k: int = 1) -> Relation:
+def relation_from_pairs(name: str, n: int, pairs: Sequence[Sequence[int]]) -> Relation:
     """The k=1 relation won exactly on the listed (x, y) pairs, each with
     0 <= x, y < n; a bad entry is a DomainError naming `name` and it."""
-    if k != 1:
-        raise DomainError("pair files describe k=1 relations")
-    table = set()
+    _within_cells(n * n, f"{name}: pair table")
+    table = np.zeros((n, n), dtype=bool)
     for entry in pairs:
         try:
             x, y = map(operator.index, entry)
@@ -100,8 +125,20 @@ def relation_from_pairs(name: str, n: int, pairs: Sequence[Sequence[int]],
             raise DomainError(f"{name}: entry {entry!r} is not a pair [x, y] of integers") from None
         if not (0 <= x < n and 0 <= y < n):
             raise DomainError(f"{name}: entry {entry!r} lies outside 0 <= x, y < {n}")
-        table.add((x, y))
-    return Relation(name, 1, n, lambda xs, ys, z: (xs[0], ys[0]) in table)
+        table[x, y] = True
+    return Relation(name, 1, n, lambda xs, ys, z: table[xs[0], ys[0]])
+
+
+def preimage_relation(out_bits: int, image: int = 0) -> Relation:
+    """Hash to `image`, over the digest domain n = 2^out_bits."""
+    return Relation("preimage", 1, 1 << out_bits, lambda xs, ys, z: ys[0] == image)
+
+
+def multi_collision_relation(out_bits: int, k: int) -> Relation:
+    """All k digests agree (k = 2: a collision); output-only: the inputs do
+    not enter it."""
+    return Relation(f"{k}-collision", k, 1 << out_bits,
+                    lambda xs, ys, z: functools.reduce(operator.and_, (y == ys[0] for y in ys)))
 
 
 def load_relation_file(path, n: int) -> Relation:
@@ -121,22 +158,45 @@ def load_relation_file(path, n: int) -> Relation:
     return relation_from_pairs(f"generalized:{path}", n, pairs)
 
 
+def _pair_grid(rel: Relation, what: str) -> np.ndarray:
+    """A k=1 relation's n-by-n win grid, from one call on the open grid."""
+    _within_cells(rel.n ** 2, f"{what} over the {rel.n}-by-{rel.n} grid")
+    x, y = np.ix_(range(rel.n), range(rel.n))
+    return rel.holds((x,), (y,), ())
+
+
 def r_max(rel: Relation) -> int:
     """Max row or column degree of a k=1 relation's incidence structure,
-    by full enumeration of the n-by-n grid."""
+    by one predicate call on the open n-by-n grid."""
     if rel.k != 1 or rel.zspace != Z_TRIVIAL:
         raise CapabilityError("r_max is defined for k=1 relations without z")
-    if rel.n > 4096:
-        raise CapabilityError(f"r_max enumeration over {rel.n}^2 = {rel.n ** 2} cells "
-                              "exceeds the ceiling n <= 4096")
-    rows = [0] * rel.n
-    cols = [0] * rel.n
-    for x in range(rel.n):
-        for y in range(rel.n):
-            if rel.wins((x,), (y,), ()):
-                rows[x] += 1
-                cols[y] += 1
-    return max(max(rows), max(cols))
+    grid = _pair_grid(rel, "r_max")
+    return int(max(grid.sum(axis=1).max(), grid.sum(axis=0).max()))
+
+
+def p_max_bound(rel: Relation, kind: str) -> Fraction:
+    """Closed-form bound on the optimal k-classical-query success probability
+    against a random-oracle relation over the digest domain n, the p_max the
+    sponge lifting bound (`bounds.sponge_lift_bound`) takes.
+
+    kind="k1": 2 max_x Pr_y[(x, y) wins], exactly, over the open n-by-n grid.
+    kind="output_only": C(2k, k) Pr_{y_1..y_k}[some ordering wins at xs =
+    (0..k-1)], over the open n^k grid, for relations that ignore the inputs.
+    """
+    if rel.zspace != Z_TRIVIAL:
+        raise PreconditionError("p_max is defined for relations without z")
+    n = rel.n
+    if kind == "k1":
+        if rel.k != 1:
+            raise PreconditionError("k1 bound needs a k=1 relation")
+        return 2 * Fraction(int(_pair_grid(rel, "p_max").sum(axis=1).max()), n)
+    if kind == "output_only":
+        _within_cells(n ** rel.k, "p_max output tuple grid")
+        xs, ys = tuple(range(rel.k)), np.ix_(*[range(n)] * rel.k)
+        won = functools.reduce(operator.or_, (rel.holds(xs, tuple(ys[i] for i in order), ())
+                                              for order in itertools.permutations(range(rel.k))))
+        return math.comb(2 * rel.k, rel.k) * Fraction(int(np.count_nonzero(won)), n ** rel.k)
+    raise DomainError(f"unknown p_max kind {kind!r}")
 
 
 def best_k_classical(rel: Relation, k: int, budget: int = 2_000_000) -> Fraction:
@@ -158,8 +218,7 @@ def best_k_classical(rel: Relation, k: int, budget: int = 2_000_000) -> Fraction
     memo: dict = {}
 
     def stop_value(read: PartialPermutation) -> Fraction:
-        return max(sum(weight for ys, weight in read.completions(xs, unit) if rel.wins(xs, ys, z))
-                   for xs in outputs for z in rel.zspace)
+        return max(rel.share(read, xs, z, unit) for xs in outputs for z in rel.zspace)
 
     def value(read: PartialPermutation, left: int) -> Fraction:
         nonlocal nodes

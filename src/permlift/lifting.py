@@ -110,7 +110,7 @@ def _win(rel: Relation, outcome, unit=1):
     completions against which (xs, z) wins, exact for unit Fraction(1)."""
     xs, z, target = outcome
     if isinstance(target, PartialPermutation):
-        return sum(weight for ys, weight in target.completions(xs, unit) if rel.wins(xs, ys, z))
+        return rel.share(target, xs, z, unit)
     return rel.wins(xs, tuple(target.forward(x) for x in xs), z)
 
 
@@ -242,10 +242,10 @@ def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> Lift
     its mean is at most 1; summing errs by at most (N - 1) * 2^-53 and each
     term by a few 2^-53.  That worst case is 1e-11 at N ~ 1e5 (n=4) and
     ~1e-8 at n=8, but the roundings do not align: the lazy and the
-    n!-target sums agree to 2.2e-14 on every C6 pair at n=4, and
-    basis-probe's p_lifted on fixed-point reads 1/8 - 2.2e-13 at n=8 (1/4
-    to 8e-16 at n=4).  1e-12 stays above the rounding seen and far below
-    any real margin at n <= 8.
+    n!-target sums agree to 2.2e-14 on every C6 pair at n=4.  At n=8 (k=1,
+    q=1, fixed-point) phase-sampler's p_lifted reads 1/8 + 1.42e-12, above
+    the slack, and the other three one-query adversaries read within 8.1e-14
+    of 1/8; 1e-12 is still far below any real margin (0.12) at n <= 8.
     """
     return LiftReport.of_exact(
         "quantum", rel.name, adv.name, rel.n, adv.queries, k,
@@ -261,8 +261,7 @@ def _batch_wins(rel: Relation, targets: PermutationStack, outputs: tuple) -> int
     """How many rows' outputs (xs, z) win against their row of `targets`."""
     xs, z = outputs
     ys = targets.fwd[np.arange(len(targets))[:, None], 0, xs]
-    return sum(bool(rel.wins(tuple(row_xs), tuple(row_ys), tuple(row_z)))
-               for row_xs, row_ys, row_z in zip(xs.tolist(), ys.tolist(), z.tolist()))
+    return int(np.count_nonzero(rel.holds(tuple(xs.T), tuple(ys.T), tuple(z.T))))
 
 
 def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,

@@ -198,13 +198,21 @@ class PartialPermutation:
                 out = out._with(x, int(y))
         return out
 
-    def completions(self, xs: Sequence[int], unit=1) -> list:
-        """(ys, weight) for each joint value of the permutation at xs, weighted
-        by its share of the completions, in the type of `unit` (see forks)."""
-        if not xs:
-            return [((), 1)]
-        return [((y,) + ys, w * rest) for y, w, extended in self.forks("forward", xs[0], unit)
-                for ys, rest in extended.completions(xs[1:], unit)]
+    def images(self, xs: Sequence[int]) -> tuple:
+        """(ys, count): the permutation's joint values at xs over its `count`
+        completions there, which are equally likely.  ys holds per x its value
+        if read, else an int array with one entry per completion: the
+        unread xs take every ordered tuple of distinct unused values."""
+        if not all(0 <= x < self.n for x in xs):
+            raise DomainError(f"element of {tuple(xs)} outside 0..{self.n - 1}")
+        unread = [x for x in dict.fromkeys(xs) if x not in self.fwd]
+        if not unread:
+            return tuple(self.fwd[x] for x in xs), 1
+        free = (y for y in range(self.n) if y not in self.inv)
+        tuples = itertools.chain.from_iterable(itertools.permutations(free, len(unread)))
+        fills = np.fromiter(tuples, np.int64).reshape(-1, len(unread))
+        return (tuple(self.fwd[x] if x in self.fwd else fills[:, unread.index(x)] for x in xs),
+                len(fills))
 
     def __eq__(self, other):
         return isinstance(other, PartialPermutation) and (self.n, self.fwd) == (other.n, other.fwd)

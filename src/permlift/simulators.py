@@ -414,9 +414,12 @@ def _walk(adv: QuantumAdversary, base: PermutationStack, picks, external, traces
             traces[origin].extend(records)
         yield rows
 
-    yield from run(_Rows(state, base.copy(), external, np.zeros(size, dtype=np.int64),
-                         np.ones(size), np.arange(size),
-                         None if traces is None else [[] for _ in range(size)]), 1, None)
+    try:
+        yield from run(_Rows(state, base.copy(), external, np.zeros(size, dtype=np.int64),
+                             np.ones(size), np.arange(size),
+                             None if traces is None else [[] for _ in range(size)]), 1, None)
+    finally:
+        del run  # the recursive closure holds its own cell, and with it the walk's arrays
 
 
 def _split(adv: QuantumAdversary, base: PermutationStack, guess: np.ndarray, rows: _Rows, i: int,

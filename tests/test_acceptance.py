@@ -24,11 +24,7 @@ from permlift.battery import (
 )
 from permlift.bounds import (
     SpongeParams,
-    collision_relation,
     icm_collision_bound,
-    multi_collision_relation,
-    p_max_bound,
-    preimage_relation,
     sponge_collision_bound,
     sponge_lift_bound,
     sponge_multi_collision_bound,
@@ -39,6 +35,9 @@ from permlift.cli import bound_table_rows
 from permlift.games import (
     best_k_classical,
     game_bound,
+    multi_collision_relation,
+    p_max_bound,
+    preimage_relation,
     r_max,
     relation_double_sided_zero,
     relation_empty,
@@ -348,8 +347,8 @@ def test_c09_closed_form_constants():
             if params.in_bits == params.out_bits:
                 ok = ok and sponge_oneway_bound(params, q) == \
                     sponge_collision_bound(params, q)
-    ok = ok and p_max_bound(preimage_relation(3, 4), "k1") == Fraction(2, 16)
-    ok = ok and p_max_bound(collision_relation(3, 4), "output_only") == Fraction(6, 16)
+    ok = ok and p_max_bound(preimage_relation(4), "k1") == Fraction(2, 16)
+    ok = ok and p_max_bound(multi_collision_relation(4, 2), "output_only") == Fraction(6, 16)
     ok = ok and icm_collision_bound(3, 0) == Fraction(3, 2)
     # golden CSV, zero tolerance
     golden = os.path.join(os.path.dirname(__file__), "golden", "bounds.csv")

@@ -1,5 +1,6 @@
 """Exhaustive law suites report zero violations; mutations are caught."""
 
+import gc
 import json
 
 import numpy as np
@@ -237,3 +238,14 @@ def test_blocked_fold_takes_one_row_of_pairs_per_table():
         algebra_checks._fold(stack, np.zeros((3, 1), int), np.zeros((3, 1), int), 2)
     empty = algebra_checks._fold(stack.take([]), np.zeros((0, 2), int), np.zeros((0, 2), int))
     assert len(empty) == 0
+
+
+def test_inverse_law_leaves_no_cyclic_garbage():
+    # the pair-sequence walk's blocks are freed when the check returns
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_inverse_law(4, 2).violations == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

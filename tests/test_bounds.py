@@ -10,15 +10,10 @@ import pytest
 from permlift.bounds import (
     SpongeParams,
     clamp01,
-    collision_relation,
     double_sided_zero_bound,
-    empty_hash_relation,
     fixed_point_bound,
     generalized_search_bound,
     icm_collision_bound,
-    multi_collision_relation,
-    p_max_bound,
-    preimage_relation,
     sponge_collision_bound,
     sponge_lift_bound,
     sponge_multi_collision_bound,
@@ -27,6 +22,14 @@ from permlift.bounds import (
 )
 from permlift.cli import bound_table_rows
 from permlift.errors import DomainError, PreconditionError
+from permlift.games import (
+    multi_collision_relation,
+    p_max_bound,
+    preimage_relation,
+    relation_empty,
+    relation_fixed_point,
+    relation_output_guess,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "bounds.csv")
 
@@ -39,19 +42,29 @@ def test_generalized_search_examples():
 
 
 def test_p_max_values():
-    assert p_max_bound(preimage_relation(3, 4), "k1") == Fraction(2, 16)
-    assert p_max_bound(collision_relation(3, 4), "output_only") == Fraction(6, 16)
-    assert p_max_bound(empty_hash_relation(3, 4), "k1") == 0
-    assert p_max_bound(empty_hash_relation(3, 4), "output_only") == 0
+    assert p_max_bound(preimage_relation(4), "k1") == Fraction(2, 16)
+    assert p_max_bound(multi_collision_relation(4, 2), "output_only") == Fraction(6, 16)
+    assert p_max_bound(relation_empty(16), "k1") == 0
+    assert p_max_bound(relation_empty(16), "output_only") == 0
     with pytest.raises(PreconditionError):
-        p_max_bound(collision_relation(3, 4), "k1")
+        p_max_bound(multi_collision_relation(4, 2), "k1")
+    with pytest.raises(PreconditionError):
+        p_max_bound(relation_output_guess(4), "k1")
+    with pytest.raises(DomainError):
+        p_max_bound(preimage_relation(4), "k2")
+
+
+def test_p_max_k1_reads_the_input():
+    # Pr_y[y = x] = 1/16 at every x; a bound that read one x column only, or
+    # the y grid along the x axis, would not see which x it is
+    assert p_max_bound(relation_fixed_point(16), "k1") == Fraction(2, 16)
 
 
 def test_p_max_multi_collision_matches_closed_form():
     # P(all k outputs equal) = n^(1-k); the bound multiplies by C(2k, k)
     import math
     for k in (2, 3):
-        rel = multi_collision_relation(2, 3, k)
+        rel = multi_collision_relation(3, k)
         assert p_max_bound(rel, "output_only") == \
             math.comb(2 * k, k) * Fraction(1, (1 << 3) ** (k - 1))
 
@@ -72,7 +85,7 @@ def test_specializations_equal_general_form(params, q):
     for k in (2, 3):
         if k * n > 16:
             continue
-        rel = multi_collision_relation(params.in_bits, n, k)
+        rel = multi_collision_relation(n, k)
         assert sponge_multi_collision_bound(params, q, k) == \
             sponge_lift_bound(params, q, k, p_max_bound(rel, "output_only"))
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permlift import algebra_checks, bounds, cli, games, perms
+from permlift import algebra_checks, cli, games, perms
 from permlift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -404,11 +404,11 @@ def test_bound_table_rejects_an_unknown_game(game, bad, tmp_path, capsys):
     (lambda: algebra_checks.check_inverse_law(8, 1), "40320", "n <= 7"),
     (lambda: games.best_k_classical(games.relation_fixed_point(5), 2, budget=10),
      "visited 11 nodes", "budget 10"),
-    (lambda: games.r_max(games.relation_fixed_point(5000)), "25000000", "n <= 4096"),
-    (lambda: bounds.p_max_bound(bounds.empty_hash_relation(12, 11), "k1"),
-     "8388608", "ceiling 4194304"),
-    (lambda: bounds.p_max_bound(bounds.multi_collision_relation(2, 9, 2), "output_only"),
-     "262144", "ceiling 65536"),
+    (lambda: games.r_max(games.relation_fixed_point(4097)), "16785409", "ceiling 16777216"),
+    (lambda: games.p_max_bound(games.preimage_relation(13), "k1"),
+     "67108864", "ceiling 16777216"),
+    (lambda: games.p_max_bound(games.multi_collision_relation(9, 3), "output_only"),
+     "134217728", "ceiling 16777216"),
     (lambda: next(perms.all_permutations(9)), "362880", "n <= 8"),
     (lambda: perms.all_ciphers(3, 7), "128024064000", "(8!)^2 = 1625702400"),
 ])

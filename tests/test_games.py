@@ -1,19 +1,26 @@
 """Relations, brute-force optima, and closed-form game bounds."""
 
 import gc
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_lift import reference_share
 from reference_tree import reference_best_k
 
 from permlift.errors import CapabilityError, DomainError
 from permlift.games import (
+    Relation,
     best_k_classical,
     game_bound,
     game_ids,
     get_game,
+    multi_collision_relation,
+    preimage_relation,
     r_max,
     relation_double_sided_zero,
     relation_empty,
@@ -213,3 +220,114 @@ def test_clamp_column_never_exceeds_one():
                 if game == "double-sided-zero" and (n.bit_length() - 1) % 2:
                     continue
                 assert game_bound(game, n, q).clamped <= 1
+
+
+# ---------------------------------------------------------------------------
+# The share of a partially read target: one predicate call over the array of
+# its completions, against the recursive completions of `reference_lift`
+
+SHARE_N = 4
+SHARE_PI = (2, 0, 3, 1)
+
+
+def _chain(n: int) -> Relation:
+    """A k=2 relation that reads both marks: the first image is the second
+    mark, so a repeated mark wins on a fixed point."""
+    return Relation("chain", 2, n, lambda xs, ys, z: ys[0] == xs[1])
+
+
+SHARE_RELATIONS = (relation_fixed_point(SHARE_N), relation_double_sided_zero(1),
+                   relation_output_guess(SHARE_N), relation_xor_shift(SHARE_N),
+                   relation_from_pairs("pairs", SHARE_N, [[0, 1], [1, 1], [2, 3], [3, 0]]),
+                   multi_collision_relation(2, 2), _chain(SHARE_N))
+
+
+def _same_share(share, ref, unit) -> bool:
+    # Fractions are exact.  In floats the reference sums at most 42 terms
+    # (n <= 7, k <= 2), each a product of two rounded weights, so it errs by
+    # less than (42 + 3) 2^-53 < 2^-47; the share is one rounded division
+    # (2^-53).  2^-46 bounds both.
+    return share == ref if isinstance(unit, Fraction) else abs(share - ref) <= 2 ** -46
+
+
+def _share_mismatches(unit) -> list:
+    """(relation, read, xs, z) wherever `Relation.share` and the reference
+    differ: SHARE_PI read at every subset of its points (0..n reads), every
+    xs of the relation's k (repeated marks included), every z."""
+    out = []
+    for m in range(SHARE_N + 1):
+        for at in itertools.combinations(range(SHARE_N), m):
+            read = PartialPermutation.from_table([SHARE_PI[x] if x in at else -1
+                                                  for x in range(SHARE_N)])
+            for rel in SHARE_RELATIONS:
+                for xs in itertools.product(range(SHARE_N), repeat=rel.k):
+                    for z in rel.zspace:
+                        if not _same_share(rel.share(read, xs, z, unit),
+                                           reference_share(rel, read, xs, z, unit), unit):
+                            out.append((rel.name, read, xs, z))
+    return out
+
+
+@pytest.mark.parametrize("unit", [Fraction(1), 1])
+def test_share_matches_the_recursive_completions(unit):
+    assert _share_mismatches(unit) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_share_matches_the_recursive_completions_on_generated_reads(data):
+    n = data.draw(st.integers(2, 7))
+    pi = data.draw(st.permutations(range(n)))
+    read = PartialPermutation.from_table(
+        [y if data.draw(st.booleans()) else -1 for y in pi])
+    rel = data.draw(st.sampled_from([relation_fixed_point(n), relation_output_guess(n),
+                                     relation_empty(n), _chain(n),
+                                     Relation("collision", 2, n,
+                                              lambda xs, ys, z: ys[0] == ys[1])]))
+    xs = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=rel.k, max_size=rel.k)))
+    z = data.draw(st.sampled_from(rel.zspace))
+    unit = data.draw(st.sampled_from([Fraction(1), 1]))
+    assert _same_share(rel.share(read, xs, z, unit), reference_share(rel, read, xs, z, unit),
+                       unit)
+
+
+def test_planted_share_over_n_is_caught(monkeypatch):
+    # the unread share divided by n instead of n - m: equal only with
+    # nothing read, so only the reads of `_share_mismatches` see it
+    images = PartialPermutation.images
+
+    def over_n(self, xs):
+        ys, count = images(self, xs)
+        return ys, (count if count == 1 else self.n)
+
+    monkeypatch.setattr(PartialPermutation, "images", over_n)
+    assert _share_mismatches(Fraction(1))
+
+
+def test_planted_completion_reusing_a_read_value_is_caught(monkeypatch):
+    # a completion that gives an unread mark a value already read
+    images = PartialPermutation.images
+
+    def reuses(self, xs):
+        blind = PartialPermutation(self.n)
+        blind.fwd = self.fwd  # inv left empty: every value looks unused
+        return images(blind, xs)
+
+    monkeypatch.setattr(PartialPermutation, "images", reuses)
+    assert _share_mismatches(Fraction(1))
+
+
+def test_relations_decide_arrays_elementwise():
+    # each predicate called once on the open grid of every (xs, ys) agrees
+    # with its call on each case: what r_max, p_max_bound and Monte Carlo
+    # lifting rely on
+    relations = SHARE_RELATIONS + (relation_empty(SHARE_N), preimage_relation(2, image=3),
+                                   multi_collision_relation(2, 3))
+    for rel in relations:
+        axes = np.ix_(*[range(SHARE_N)] * (2 * rel.k))
+        for z in rel.zspace:
+            grid = rel.holds(axes[:rel.k], axes[rel.k:], z)
+            assert grid.shape == (SHARE_N,) * (2 * rel.k)
+            assert [bool(grid[cell]) for cell in np.ndindex(grid.shape)] == [
+                rel.wins(cell[:rel.k], cell[rel.k:], z)
+                for cell in itertools.product(range(SHARE_N), repeat=2 * rel.k)]

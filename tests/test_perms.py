@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_lift import completions
 
 from permlift.errors import CapabilityError, DomainError, PreconditionError
 from permlift.perms import (
@@ -208,15 +209,23 @@ def test_partial_permutation_reads_match_a_uniform_permutation(n, data):
 
 def test_partial_permutation_completions_and_identity():
     unread = PartialPermutation(4)
-    pairs = unread.completions((2, 0))
+    pairs = completions(unread, (2, 0))
     assert sorted(ys for ys, _ in pairs) == sorted(itertools.permutations(range(4), 2))
     assert all(w == pytest.approx(1 / 12) for _, w in pairs)
+    (y2, y0), count = unread.images((2, 0))
+    assert count == 12 and sorted(zip(y2.tolist(), y0.tolist())) == sorted(ys for ys, _ in pairs)
     (_, _, read), *_ = unread.forks("backward", 3)  # pi^-1(3) = 0
     same = unread.forks("forward", 0)[3][2]  # pi(0) = 3
     assert read == same and hash(read) == hash(same) and read.inv == {3: 0}
-    assert read.completions((0,)) == [((3,), 1)]
+    assert completions(read, (0,)) == [((3,), 1)]
+    assert read.images((0,)) == ((3,), 1)
+    # a repeated mark is one unread point: its two values agree
+    (a, b), count = read.images((1, 1))
+    assert count == 3 and (a == b).all() and sorted(a.tolist()) == [0, 1, 2]
     with pytest.raises(DomainError):
         unread.forks("forward", 4)
+    with pytest.raises(DomainError):
+        unread.images((0, 4))
 
 
 def test_partial_permutation_reads_signal_unread_points():

@@ -1,5 +1,6 @@
 """Simulator choices, classical and quantum runs, triggers, lifted adversaries."""
 
+import gc
 import itertools
 import math
 from collections import Counter
@@ -597,3 +598,20 @@ def test_choice_count_matches_the_enumerated_space():
     for slots, k, timing in itertools.product(range(5), range(4), (True, False)):
         assert choice_count(slots, k, timing) == len(sim_choice_space(slots, k, timing))
     assert choice_count(2, 3, False) == 37
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # a walk's start state, guess table and tables are freed when it
+    # returns, not at the next collection
+    adv = qa_phase_sampler(4)
+    rng = np.random.default_rng(5)
+    bases = list(all_permutations(4))[:8]
+    gc.collect()
+    gc.disable()
+    try:
+        sample_quantum_batch(adv, PermutationStack.random(8, 4, rng), rng)
+        assert gc.collect() == 0
+        simulators.exact_outcomes(adv, bases)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
