@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sponge hashing at toy sizes and the closed-form security bounds.
 
-Traces one sponge evaluation block by block, evaluates the Davies-Meyer and
-PGV compression functions, and prints the bound calculators with both the
+Traces one sponge evaluation block by block, evaluates the Davies-Meyer
+compression function, and prints the bound calculators with both the
 raw rational value and the probability clamp, with the exact p_max of the
 preimage and collision relations that the sponge lifting bound takes.
 """
@@ -23,14 +23,7 @@ from permlift.bounds import (
 )
 from permlift.games import multi_collision_relation, p_max_bound, preimage_relation
 from permlift.perms import Cipher, CountingOracle, Permutation
-from permlift.sponge import (
-    DAVIES_MEYER_SELECTOR,
-    all_pgv_selectors,
-    davies_meyer,
-    pgv,
-    pgv_group,
-    sponge,
-)
+from permlift.sponge import davies_meyer, sponge
 
 print("== Sponge trace (rate 2, capacity 2, 3-bit message, 2-bit digest) ==")
 params = SpongeParams(2, 2, 3, 2)
@@ -47,11 +40,7 @@ E = Cipher.random(4, 4, rng)
 print("  davies-meyer table f(h, m):")
 for h in range(4):
     row = [davies_meyer(E, h, m) for m in range(4)]
-    assert row == [pgv(E, DAVIES_MEYER_SELECTOR, 0, h, m) for m in range(4)]
     print(f"    h={h}: {row}")
-groups = [pgv_group(sel) for sel in all_pgv_selectors()]
-print(f"  PGV family: {groups.count(1)} secure compression functions, "
-      f"{groups.count(2)} secure only after chaining, {groups.count(3)} broken")
 
 print("\n== Closed-form bounds (raw rational, clamped) ==")
 

@@ -68,6 +68,6 @@ from .simulators import (
     sample_sim_choice,
     sim_choice_space,
 )
-from .sponge import PgvSelector, davies_meyer, pgv, sponge
+from .sponge import davies_meyer, sponge
 
 __version__ = "0.1.0"

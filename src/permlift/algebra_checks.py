@@ -304,19 +304,6 @@ def check_bad_probability(n: int, max_k: int = 2) -> CheckResult:
     return CheckResult("bad-probability", cases, violations, f"n={n}, k<={max_k}")
 
 
-def check_bad_probability_sampled(n: int, k: int, trials: int, seed: int) -> CheckResult:
-    """Monte Carlo bad fraction within 3 sigma of the k^2/n bound."""
-    rng = np.random.default_rng(seed)
-    base = Permutation.random(n, rng)
-    xs = tuple(range(k))
-    phat, sigma = perms.bad_fraction_sampled(base, xs, trials, rng)
-    ok = phat <= k * k / n + 3.0 * sigma
-    return CheckResult(
-        "bad-probability-mc", trials, 0 if ok else 1,
-        f"n={n}, k={k}, phat={phat:.5f}, sigma={sigma:.5f}",
-    )
-
-
 def check_cipher_bad_probability(key_count: int = 2, n: int = 4,
                                  max_k: int = 2) -> CheckResult:
     """Exhaustive keyed bad fraction <= k^2/n over every target cipher."""

@@ -33,6 +33,7 @@ from .lifting import (
     classical_lift_exact,
     quantum_lift_exact,
     quantum_lift_monte_carlo,
+    require_arity,
 )
 from .perms import Permutation, all_permutations, is_good_pair, permutation_count
 from .simulators import (
@@ -160,6 +161,7 @@ def cmd_verify_lifting(args: argparse.Namespace) -> int:
                 raise DomainError(f"verify-lifting --mode {args.mode} reads no --{flag}; "
                                   "only --mode monte-carlo samples")
     rel = get_game(args.game, n)
+    require_arity(rel, k)
     qadv = qa_value_reporter(n)  # the interactive adversary
     slots = qadv.circuit.num_slots if args.kind == "interactive" else 2 * q
     # only quantum lifting has a monte-carlo mode to fall back on
@@ -313,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = {"default": None}
     kinds = ("classical", "quantum")
     flags = {
-        "verify-algebra": {"n": {**n, "nargs": "+", "default": [4]}, "k": k, "out": out},
+        # at k = 0 most algebra suites would check no case
+        "verify-algebra": {"n": {**n, "nargs": "+", "default": [4]},
+                           "k": {**k, "type": _at_least(1)}, "out": out},
         "verify-decomposition": {"n": n, "q": q, "k": k, "out": out},
         "verify-lifting": {
             "n": n, "q": q, "k": k,

@@ -104,6 +104,14 @@ def quantum_factor(n: int, q: int, k: int) -> Fraction:
     return (1 - Fraction(k * k, n)) / Fraction(8 * q + 1) ** (2 * k)
 
 
+def require_arity(rel: Relation, k: int) -> None:
+    """Refuse a lift with fewer reprogrammed queries k than the relation marks
+    inputs: at k = 0 the factor is 1, and no lifting theorem states
+    p_lifted >= p_adversary."""
+    if k < rel.k:
+        raise PreconditionError(f"k={k} is below the arity {rel.k} of relation {rel.name!r}")
+
+
 def _win(rel: Relation, outcome, unit=1):
     """Whether outcome = (xs, z, target) wins against its target; against a
     target read in part, a :class:`PartialPermutation`, the share of its
@@ -227,6 +235,7 @@ classical_lifted_win_exact = quantum_lifted_win_exact = _lifted_win
 
 def classical_lift_exact(adv: ClassicalAdversary, rel: Relation, k: int = 1) -> LiftReport:
     """Exact classical lifting report, vacuous when k^2 >= n (`LiftReport.of_exact`)."""
+    require_arity(rel, k)
     return LiftReport.of_exact(
         "classical", rel.name, adv.name, rel.n, adv.budget, k,
         classical_factor(rel.n, adv.budget, k), classical_adversary_win_exact(adv, rel),
@@ -247,6 +256,7 @@ def quantum_lift_exact(adv: QuantumAdversary, rel: Relation, k: int = 1) -> Lift
     the slack, and the other three one-query adversaries read within 8.1e-14
     of 1/8; 1e-12 is still far below any real margin (0.12) at n <= 8.
     """
+    require_arity(rel, k)
     return LiftReport.of_exact(
         "quantum", rel.name, adv.name, rel.n, adv.queries, k,
         quantum_factor(rel.n, adv.queries, k), quantum_adversary_win_exact(adv, rel),
@@ -279,6 +289,7 @@ def quantum_lift_monte_carlo(adv: QuantumAdversary, rel: Relation, trials: int,
     """
     if trials < 1:
         raise PreconditionError(f"monte-carlo lifting needs trials >= 1, got {trials}")
+    require_arity(rel, k)
     n = rel.n
     rng_a, rng_b = np.random.default_rng(seed).spawn(2)
     lifted = build_lifted_adversary(adv, k)

@@ -232,15 +232,10 @@ class _ClassicalSimState:
         return oracle.forward(*point) if tag == FORWARD else oracle.backward(*point)
 
 
-def run_classical_sim(adv: ClassicalAdversary, base, target,
-                      choice: Optional[SimChoice] = None, rng=None,
+def run_classical_sim(adv: ClassicalAdversary, base, target, choice: SimChoice, rng=None,
                       trace: Optional[list] = None):
     """Run the classical measure-and-reprogram experiment against a
     permutation or cipher oracle, or one read lazily; returns (xs, z)."""
-    if choice is None:
-        if rng is None:
-            raise DomainError("need either an explicit choice or an rng")
-        choice = sample_sim_choice(adv.budget, 1, with_timing=False, rng=rng)
     if any(s is not None and s > adv.budget for s in choice.slots):
         raise PreconditionError("choice references slots beyond the adversary budget")
     if choice.after_flags is not None:
@@ -295,14 +290,12 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
 
     A circuit with a key register runs against a cipher and measures the
     (key, query) register pair jointly at a guessed slot; one without runs
-    against a permutation.  Sample mode returns one (xs, z).  Exact mode
-    returns the distribution over ((xs), (z)); against a
-    :class:`PartialPermutation` target, read lazily, over ((xs), (z), target
-    as read), which by linearity is the expectation over uniform targets.
-    `trace`, if given, receives one record per visited slot of each final
-    row, in row order.  An exact row is one branch and fork and lists its
-    whole path, so the slots before a split, which its rows share, repeat
-    once per row.
+    against a permutation.  The target is concrete: the lazily read walk is
+    `exact_outcomes`.  Sample mode returns one (xs, z); exact mode, the
+    distribution over ((xs), (z)).  `trace`, if given, receives one record
+    per visited slot of each final row, in row order.  An exact row is one
+    branch and fork and lists its whole path, so the slots before a split,
+    which its rows share, repeat once per row.
     """
     circuit = adv.circuit
     if any(s is not None and s > circuit.num_slots for s in choice.slots):
@@ -310,17 +303,16 @@ def run_quantum_sim(adv: QuantumAdversary, base, target, choice: SimChoice,
     if choice.after_flags is None:
         raise PreconditionError("the quantum simulator needs timing flags")
     require_oracle_key(base, circuit.key)
-    lazy = isinstance(target, PartialPermutation)
+    if isinstance(target, PartialPermutation):
+        raise PreconditionError("the quantum simulator needs a concrete target")
     traces = None if trace is None else [trace]
     if mode == "exact":
-        return {(xs, z, read) if lazy else (xs, z): p
-                for (xs, z, read), p in exact_outcomes(adv, [base], [choice], target, traces)}
+        outcomes = exact_outcomes(adv, [base], [choice], target, traces)
+        return {(xs, z): p for (xs, z, _), p in outcomes}
     if mode != "sample":
         raise DomainError(f"unknown mode {mode!r}")
     if rng is None:
         raise DomainError("sample mode needs an rng")
-    if lazy:
-        raise PreconditionError("sample mode needs a concrete target")
     xs, z, _ = sample_quantum_batch(adv, PermutationStack.of([base]), rng,
                                     _choice_picks([choice], circuit.num_slots),
                                     PermutationStack.of([target]), traces)

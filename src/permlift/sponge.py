@@ -10,7 +10,6 @@ of the state integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import SpongeParams
@@ -49,30 +48,6 @@ def sponge_call_count(params: SpongeParams, perm: Permutation, message: int) -> 
     counter = CountingOracle(perm)
     sponge(params, counter, message)
     return counter.calls
-
-
-def sponge_search_stats(params: SpongeParams, samples: int, seed: int,
-                        target: int = 0) -> dict:
-    """Descriptive statistics over random permutations: how often a preimage
-    of `target` exists, and how often some input pair collides."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    preimage = 0
-    collision = 0
-    inputs = range(1 << params.in_bits)
-    for _ in range(samples):
-        perm = Permutation.random(params.domain, rng)
-        digests = [sponge(params, perm, x) for x in inputs]
-        if target in digests:
-            preimage += 1
-        if len(set(digests)) < len(digests):
-            collision += 1
-    return {
-        "samples": samples,
-        "preimage_frequency": preimage / samples,
-        "collision_frequency": collision / samples,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -115,65 +90,3 @@ def load_vectors(path) -> list[dict]:
 def davies_meyer(cipher: Cipher, chaining: int, message_key: int) -> int:
     """E_m(h) xor h with the message block as the cipher key."""
     return cipher.forward(message_key, chaining) ^ chaining
-
-
-CONST = "const"
-H = "h"
-M = "m"
-HM = "hm"
-
-_SOURCES = (CONST, H, M, HM)
-
-
-@dataclass(frozen=True)
-class PgvSelector:
-    """Which of {constant, h, m, h^m} feeds the key, input, and feedforward."""
-
-    key_source: str
-    input_source: str
-    feedforward_source: str
-
-    def __post_init__(self):
-        for s in (self.key_source, self.input_source, self.feedforward_source):
-            if s not in _SOURCES:
-                raise DomainError(f"bad selector source {s!r}")
-
-
-DAVIES_MEYER_SELECTOR = PgvSelector(M, H, H)
-
-
-def _resolve(source: str, const_v: int, h: int, m: int) -> int:
-    return {CONST: const_v, H: h, M: m, HM: h ^ m}[source]
-
-
-def pgv(cipher: Cipher, sel: PgvSelector, const_v: int, chaining: int, message: int) -> int:
-    """The 64-member compression family f(h, m) = E_key(input) xor feedforward."""
-    if cipher.key_count != cipher.n:
-        raise DomainError("PGV treats keys and blocks as one space; sizes must match")
-    key = _resolve(sel.key_source, const_v, chaining, message)
-    block = _resolve(sel.input_source, const_v, chaining, message)
-    feed = _resolve(sel.feedforward_source, const_v, chaining, message)
-    return cipher.forward(key, block) ^ feed
-
-
-def all_pgv_selectors() -> list[PgvSelector]:
-    return [PgvSelector(k, x, s) for k in _SOURCES for x in _SOURCES for s in _SOURCES]
-
-
-def pgv_group(sel: PgvSelector) -> int:
-    """Security class of the selector per the standard provable-security
-    taxonomy of the 64 schemes: 12 compression functions are themselves
-    collision resistant (group 1), 8 more become secure only after chaining
-    (group 2), the remaining 44 are broken (group 3).  Transcribed from the
-    published classification; not derived here.
-    """
-    k, x, s = sel.key_source, sel.input_source, sel.feedforward_source
-    data = {H, M, HM}
-    if k in data and x in data - {k}:
-        xor_of_kx = {frozenset((H, M)): HM, frozenset((H, HM)): M,
-                     frozenset((M, HM)): H}[frozenset((k, x))]
-        if s in (x, xor_of_kx):
-            return 1
-        if k in (M, HM) and s in (CONST, k):
-            return 2
-    return 3

@@ -35,7 +35,7 @@ def test_verify_algebra_passes(tmp_path):
     assert all(r["violations"] == 0 for r in report["results"])
 
 
-@pytest.mark.parametrize("k", ["0", "2"])
+@pytest.mark.parametrize("k", ["1", "2"])
 def test_verify_algebra_passes_where_no_pair_is_good(tmp_path, k):
     # at n <= 3 some suites find no good (base, target) pair at all
     out = tmp_path / "report.json"
@@ -232,6 +232,22 @@ def test_vacuous_verdict_prices_only_the_adversary_side(monkeypatch, capsys, arg
     assert run_cli(["verify-lifting", *argv]) == EXIT_OK, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    [],
+    ["--kind", "classical", "--q", "2"],
+    ["--kind", "interactive"],
+    ["--mode", "monte-carlo", "--n", "16", "--trials", "10"],
+], ids=["quantum", "classical", "interactive", "monte-carlo"])
+def test_verify_lifting_below_the_relation_arity_exits_two(args, tmp_path, capsys):
+    # at k=0 the factor is 1, so a lift would assert p_lifted >= p_adversary,
+    # which no lifting theorem states; it reported violations and exited 1
+    out = tmp_path / "lift.json"
+    assert run_cli(["verify-lifting", "--k", "0", "--out", str(out)] + args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "k=0" in err and "arity 1" in err
+    assert not out.exists()
+
+
 def test_verify_lifting_unknown_game():
     assert run_cli(["verify-lifting", "--game", "nope", "--n", "4"]) == EXIT_CONFIG
 
@@ -376,6 +392,8 @@ def test_flags_that_would_go_unread_exit_two(argv, message, tmp_path, monkeypatc
     (["verify-lifting", "--q", "-1"], "--q", "-1"),
     (["verify-lifting", "--k", "-1"], "--k", "-1"),
     (["trace", "--k", "-3"], "--k", "-3"),
+    # at k = 0 six of the eight algebra suites would check no case and pass
+    (["verify-algebra", "--k", "0"], "--k", "0"),
 ])
 def test_out_of_range_counts_exit_two(argv, flag, value, capsys):
     assert run_cli(argv) == EXIT_CONFIG

@@ -47,7 +47,7 @@ from permlift.circuits import BACKWARD, FORWARD
 from permlift.perms import (LazyEdit, PartialPermutation, Permutation, PermutationStack,
                             all_permutations, is_good_pair)
 from permlift.simulators import (ClassicalAdversary, build_lifted_adversary, run_classical_sim,
-                                 run_quantum_sim, sim_choice_space)
+                                 sim_choice_space)
 
 
 def test_factors():
@@ -178,6 +178,21 @@ def test_quantum_monte_carlo_needs_a_trial(trials):
     with pytest.raises(PreconditionError, match=f"got {trials}"):
         quantum_lift_monte_carlo(qa_value_reporter(4), relation_output_guess(4),
                                  trials=trials, seed=3)
+
+
+@pytest.mark.parametrize("lift", [
+    lambda rel: classical_lift_exact(FixedPointSeeker(4), rel, 0),
+    lambda rel: quantum_lift_exact(qa_superposed_seeker(4), rel, 0),
+    lambda rel: quantum_lift_monte_carlo(qa_superposed_seeker(4), rel, trials=10, seed=3, k=0),
+], ids=["classical", "quantum", "monte-carlo"])
+def test_lift_below_the_relation_arity_is_refused(lift):
+    # at k=0 the factor is 1 and no lifting theorem bounds p_adversary by
+    # p_lifted; superposed-seeker and fixed-point-seeker "violated" it
+    from permlift.errors import PreconditionError
+
+    with pytest.raises(PreconditionError, match="k=0 is below the arity 1"):
+        lift(relation_fixed_point(4))
+
 
 def _lifted_monte_carlo(adv, rel, trials, seed):
     """Win rate of the object build_lifted_adversary(adv, 1) returns, run
@@ -378,8 +393,8 @@ def test_lazy_walk_matches_the_reference_on_generated_circuits(data):
     choice = data.draw(st.sampled_from(sim_choice_space(slots, data.draw(st.integers(1, 2)))))
     base = data.draw(st.sampled_from(PERMS4))
     rel = data.draw(st.sampled_from([relation_fixed_point(4), relation_output_guess(4)]))
-    lazy = sum(p * lifting._win(rel, outcome) for outcome, p in run_quantum_sim(
-        adv, base, PartialPermutation(4), choice, mode="exact").items())
+    lazy = sum(p * lifting._win(rel, outcome) for outcome, p in simulators.exact_outcomes(
+        adv, [base], [choice], PartialPermutation(4)))
     reference, terms = _reference_win(adv, rel, ((t, base, choice) for t in PERMS4))
     assert abs(lazy - reference) <= _rounding_bound(terms)
 

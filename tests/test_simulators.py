@@ -19,8 +19,8 @@ from permlift.battery import (
 )
 from permlift.circuits import BACKWARD, FORWARD, CircuitBuilder, run_circuit
 from permlift.errors import DomainError, PreconditionError, ProtocolError
-from permlift.perms import (Cipher, Permutation, PermutationStack, all_permutations,
-                            hit_miss_queries, is_good_pair)
+from permlift.perms import (Cipher, PartialPermutation, Permutation, PermutationStack,
+                            all_permutations, hit_miss_queries, is_good_pair)
 from permlift import simulators
 from permlift.qsim import measure_distribution
 from permlift.simulators import (
@@ -580,6 +580,14 @@ def test_permutation_given_to_keyed_circuit_is_a_precondition_error():
         run_quantum_sim(qadv, perm, perm, SimChoice((1,), (HIT,), (0,)), mode="exact")
     with pytest.raises(PreconditionError, match="key register 'K'.*Permutation"):
         run_circuit(qadv.circuit, perm)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sample"])
+def test_quantum_simulator_refuses_a_lazily_read_target(mode):
+    # the lazily read walk is exact_outcomes; run_quantum_sim takes concrete targets
+    with pytest.raises(PreconditionError, match="needs a concrete target"):
+        run_quantum_sim(qa_value_reporter(4), Permutation.identity(4), PartialPermutation(4),
+                        SimChoice((1,), (HIT,), (0,)), mode=mode, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("choice", [SimChoice((None,), (None,)), SimChoice((1,), (HIT,))])

@@ -1,6 +1,5 @@
-"""Sponge hashing, golden vectors, and the compression-function family."""
+"""Sponge hashing, golden vectors, and the Davies-Meyer compression function."""
 
-import itertools
 import os
 
 import numpy as np
@@ -10,18 +9,12 @@ from permlift.bounds import SpongeParams
 from permlift.errors import DomainError
 from permlift.perms import Cipher, Permutation
 from permlift.sponge import (
-    DAVIES_MEYER_SELECTOR,
-    PgvSelector,
-    all_pgv_selectors,
     check_vector,
     davies_meyer,
     load_vectors,
-    pgv,
-    pgv_group,
     save_vectors,
     sponge,
     sponge_call_count,
-    sponge_search_stats,
     sponge_vector,
 )
 
@@ -100,17 +93,8 @@ def test_golden_vectors_are_rebuilt_byte_for_byte(tmp_path):
     assert load_vectors(path) == vectors
 
 
-def test_search_stats_descriptive():
-    params = SpongeParams(2, 2, 3, 2)
-    stats = sponge_search_stats(params, samples=300, seed=5)
-    # 8 inputs into 4 digests: collisions are certain; a preimage of any fixed
-    # 2-bit target exists for most permutations (1 - (3/4)^8 ~ 0.9)
-    assert stats["collision_frequency"] == 1.0
-    assert 0.65 <= stats["preimage_frequency"] <= 1.0
-
-
 # ---------------------------------------------------------------------------
-# Davies-Meyer and PGV
+# Davies-Meyer
 
 
 def test_davies_meyer_identity_cipher_zeroes():
@@ -125,41 +109,10 @@ def test_davies_meyer_table_lookup():
     assert davies_meyer(E, 0, 0) == 1
 
 
-def test_davies_meyer_is_pgv_specialization():
+def test_davies_meyer_reads_the_message_keyed_table():
+    # f(h, m) = E_m(h) xor h, read off the component tables of the cipher
     rng = np.random.default_rng(2)
     E = Cipher.random(4, 4, rng)
     for h in range(4):
         for m in range(4):
-            assert davies_meyer(E, h, m) == pgv(E, DAVIES_MEYER_SELECTOR, 0, h, m)
-
-
-def test_pgv_constant_selector_is_constant():
-    rng = np.random.default_rng(3)
-    E = Cipher.random(4, 4, rng)
-    sel = PgvSelector("const", "const", "const")
-    outputs = {pgv(E, sel, 2, h, m) for h in range(4) for m in range(4)}
-    assert len(outputs) == 1
-
-
-def test_all_selectors_well_typed_on_grid():
-    rng = np.random.default_rng(4)
-    E = Cipher.random(4, 4, rng)
-    assert len(all_pgv_selectors()) == 64
-    for sel in all_pgv_selectors():
-        for h in range(4):
-            for m in range(4):
-                assert 0 <= pgv(E, sel, 1, h, m) < 4
-
-
-def test_pgv_requires_matching_spaces():
-    E = Cipher.identity(2, 4)
-    with pytest.raises(DomainError):
-        pgv(E, DAVIES_MEYER_SELECTOR, 0, 0, 0)
-
-
-def test_pgv_group_counts():
-    groups = [pgv_group(sel) for sel in all_pgv_selectors()]
-    assert groups.count(1) == 12
-    assert groups.count(2) == 8
-    assert groups.count(3) == 44
-    assert pgv_group(DAVIES_MEYER_SELECTOR) == 1
+            assert davies_meyer(E, h, m) == E.perms[m].fwd[h] ^ h
